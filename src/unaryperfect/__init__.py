@@ -35,14 +35,10 @@ from .quadfield import (
     slope,
 )
 from .traceform import (
-    BinaryQF,
     MinData,
     NotPositiveDefiniteError,
     ReductionCapError,
-    UnimodularMap,
     brute_force_min,
-    certified_box,
-    gauss_reduce,
     min_data,
     trace_form,
 )
@@ -58,22 +54,18 @@ from .units import (
 )
 from .voronoi import (
     PerfectForm,
-    SupportLine,
     WalkError,
     WalkResult,
     classes_equal,
     initial_perfect,
     is_perfect,
     neighbor_step,
-    support_line,
-    vertex_at,
     walk_classes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryQF",
     "CFExpansion",
     "DClass",
     "FamilyParams",
@@ -93,13 +85,10 @@ __all__ = [
     "ReductionCapError",
     "RejectedCandidate",
     "SearchExhaustedError",
-    "SupportLine",
-    "UnimodularMap",
     "WalkError",
     "WalkResult",
     "brute_force_min",
     "candidate_params",
-    "certified_box",
     "cf_sqrt",
     "classes_equal",
     "classify",
@@ -108,7 +97,6 @@ __all__ = [
     "construct_a1_a2",
     "construct_a3",
     "fundamental_unit",
-    "gauss_reduce",
     "generate_family",
     "initial_perfect",
     "is_perfect",
@@ -120,10 +108,8 @@ __all__ = [
     "predicted_minimal_set",
     "primitive_normalize",
     "slope",
-    "support_line",
     "trace_form",
     "unit_brute_oracle",
     "unit_square",
-    "vertex_at",
     "walk_classes",
 ]

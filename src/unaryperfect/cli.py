@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -32,13 +33,7 @@ from .family import (
 )
 from .quadfield import FieldDesc, QuadFieldError
 from .traceform import ReductionCapError, brute_force_min, min_data
-from .units import (
-    PeriodError,
-    SearchExhaustedError,
-    cached_units,
-    fundamental_unit,
-    seed_unit_cache,
-)
+from .units import PeriodError, SearchExhaustedError
 from .voronoi import PerfectForm, WalkError, classes_equal, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
@@ -92,8 +87,8 @@ def _summarize(vertex: PerfectForm) -> ClassSummary:
 
 def build_record(d: int) -> ScanRecord:
     field = FieldDesc(d)
-    unit = fundamental_unit(field)
     result = walk_classes(field)
+    unit = result.unit
     dclass = classify(field, unit)
     predicted = dclass.predicted_class_count
     return ScanRecord(
@@ -225,37 +220,6 @@ def parse_json(text: str) -> list[ScanRecord]:
     return [record_from_dict(obj) for obj in json.loads(text)]
 
 
-# -- unit cache ------------------------------------------------------------
-
-
-def load_unit_cache(path: str) -> list[tuple[int, Fraction, Fraction, int]]:
-    """Lines of "d alpha beta norm"; a missing file is an empty cache."""
-    p = Path(path)
-    if not p.exists():
-        return []
-    entries = []
-    for line in p.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        d, alpha, beta, norm = line.split()
-        entries.append((int(d), Fraction(alpha), Fraction(beta), int(norm)))
-    return entries
-
-
-def save_unit_cache(path: str, extra: list[tuple[int, Fraction, Fraction, int]]) -> None:
-    merged = {d: (alpha, beta, norm) for d, alpha, beta, norm in load_unit_cache(path)}
-    for d, alpha, beta, norm in extra:
-        merged[d] = (alpha, beta, norm)
-    for d, unit in cached_units().items():
-        merged[d] = (unit.value.a, unit.value.b, unit.norm_sign)
-    lines = [
-        f"{d} {alpha} {beta} {norm}"
-        for d, (alpha, beta, norm) in sorted(merged.items())
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
 # -- commands --------------------------------------------------------------
 
 
@@ -302,13 +266,6 @@ def cmd_analyze(args) -> int:
     return 1 if record.agree is False else 0
 
 
-_pool_entries: list = []
-
-
-def _worker_init(entries) -> None:
-    seed_unit_cache(entries)
-
-
 def _scan_worker(d: int) -> ScanRecord:
     return build_record(d)
 
@@ -317,22 +274,17 @@ def cmd_scan(args) -> int:
     mod4 = {int(t) for t in args.mod4.split(",")}
     if not mod4 or not mod4 <= {1, 2, 3}:
         raise ValueError(f"--mod4 must pick from 1,2,3; got {args.mod4!r}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in mod4]
-    entries = load_unit_cache(args.cache) if args.cache else []
-    seed_unit_cache(entries)
-    if args.jobs > 1 and len(ds) > 1:
-        chunk = max(1, len(ds) // (4 * args.jobs))
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_worker_init, initargs=(entries,)
-        ) as pool:
+    # the pool forks all its workers up front, so never ask for more than can run
+    workers = min(args.jobs, len(ds), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = max(1, len(ds) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, ds, chunksize=chunk))
     else:
         records = [build_record(d) for d in ds]
-    if args.cache:
-        found = [
-            (r.d, r.unit_alpha, r.unit_beta, r.norm_sign) for r in records
-        ]
-        save_unit_cache(args.cache, found)
     text = render_csv(records) if args.format == "csv" else render_json(records)
     if args.out:
         Path(args.out).write_text(text)
@@ -363,10 +315,10 @@ def cmd_verify_family(args) -> int:
     failures = 0
     for params in scan.accepted:
         field = FieldDesc(params.d)
-        unit = fundamental_unit(field)
+        result = walk_classes(field)
+        unit = result.unit
         a1, a2 = construct_a1_a2(field)
         a3 = construct_a3(unit)
-        result = walk_classes(field)
         problems = []
         if result.class_count != 3:
             problems.append(f"class count {result.class_count} != 3")
@@ -440,7 +392,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--cache", help="fundamental-unit cache file to read and update")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser(

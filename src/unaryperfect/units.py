@@ -1,9 +1,13 @@
 """Continued fractions of quadratic surds and fundamental units.
 
-The expansion of (P + sqrt(d))/Q runs on the exact integer recurrence
-P' = a*Q - P, Q' = (d - P'^2)/Q.  The first repeated (P, Q) state yields
-a matrix fixing the surd under the Moebius action; its bottom row is the
-fundamental unit in the basis {1, surd}.
+For xi = sqrt(d) or (1 + sqrt(d))/2, the complete quotient
+xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
+Galois's theorem its expansion is purely periodic.  Writing
+xi_1 = (P + sqrt(d))/Q, one period runs the exact integer recurrence
+P' = a*Q - P, Q' = (d - P'^2)/Q until (P, Q) returns.  With q_k the
+convergent denominators of xi, the matrix fixing xi has bottom row
+(q_{L-1}, q_L - a0*q_{L-1}), so q_{L-1}*xi + q_L - a0*q_{L-1} is the
+fundamental unit of Z[xi].  One state and two denominators are kept.
 """
 
 from __future__ import annotations
@@ -11,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from threading import Lock
-from typing import Iterable
+from typing import Iterator
 
 from .quadfield import FieldDesc, FieldElem, QuadFieldError
 
@@ -44,144 +47,67 @@ class FundamentalUnit:
     norm_sign: int
 
 
-def _floor_surd(P: int, d: int, Q: int) -> int:
-    """floor((P + sqrt(d))/Q) for nonsquare d > 0, Q != 0."""
+def _period(d: int, P: int, Q: int) -> Iterator[int]:
+    """Partial quotients of one period of the reduced surd (P + sqrt(d))/Q.
+
+    Q must be positive and divide d - P^2; both stay so along the period.
+    """
     s = isqrt(d)
-    if Q > 0:
-        return (P + s) // Q
-    # sqrt(d) lies strictly between s and s+1, so the numerator's floor
-    # against a negative Q shifts by one
-    return (-P - s - 1) // (-Q)
+    first = (P, Q)
+    for _ in range(_STEP_CAP):
+        a = (P + s) // Q
+        yield a
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            return
+    raise PeriodError(f"no period within {_STEP_CAP} steps for d={d}")
 
 
 def cf_sqrt(d: int) -> CFExpansion:
     """Continued fraction of sqrt(d); the period closes with 2*a0."""
-    s = isqrt(d)
-    if s * s == d:
+    a0 = isqrt(d)
+    if a0 * a0 == d:
         raise QuadFieldError(f"{d} is a perfect square")
-    a0 = s
-    first = (a0, d - a0 * a0)
-    state = first
-    terms: list[int] = []
-    for _ in range(_STEP_CAP):
-        P, Q = state
-        a = (P + s) // Q
-        terms.append(a)
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        state = (P, Q)
-        if state == first:
-            break
-    else:
-        raise PeriodError(f"no period within {_STEP_CAP} steps for d={d}")
-    if terms[-1] != 2 * a0:
+    period = tuple(_period(d, a0, d - a0 * a0))
+    if period[-1] != 2 * a0:
         raise PeriodError(f"period of sqrt({d}) did not close on 2*a0")
-    return CFExpansion(d, a0, tuple(terms))
-
-
-def _surd_stabilizer(d: int, P0: int, Q0: int) -> tuple[int, int, int, int]:
-    """First-return matrix of the expansion of xi = (P0 + sqrt(d))/Q0.
-
-    Returns (A, B, C, D) with det = +-1 and xi = (A*xi + B)/(C*xi + D).
-    Multiplication by C*xi + D then preserves the module Z + Z*xi, so it
-    is a unit of that module's multiplier ring.
-    """
-    if (d - P0 * P0) % Q0:
-        raise QuadFieldError("Q0 must divide d - P0^2")
-    # convergent matrix M_k = [[p_k, p_{k-1}], [q_k, q_{k-1}]], starting at M_{-1} = I
-    pk, pk1 = 1, 0
-    qk, qk1 = 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    P, Q = P0, Q0
-    for k in range(_STEP_CAP):
-        if k >= 1:
-            state = (P, Q)
-            if state in seen:
-                a1, b1, c1, d1 = seen[state]  # M_{i-1}
-                det = a1 * d1 - b1 * c1
-                # integer inverse of M_{i-1}: det * adjugate
-                ia, ib = det * d1, -det * b1
-                ic, id_ = -det * c1, det * a1
-                return (
-                    pk * ia + pk1 * ic,
-                    pk * ib + pk1 * id_,
-                    qk * ia + qk1 * ic,
-                    qk * ib + qk1 * id_,
-                )
-            seen[state] = (pk, pk1, qk, qk1)
-        a = _floor_surd(P, d, Q)
-        pk, pk1 = a * pk + pk1, pk
-        qk, qk1 = a * qk + qk1, qk
-        P = a * Q - P
-        Q = (d - P * P) // Q
-    raise PeriodError(f"no repeated state within {_STEP_CAP} steps for d={d}")
-
-
-def _normalize_unit(u: FieldElem) -> FundamentalUnit:
-    n = u.norm()
-    if n not in (1, -1):
-        raise PeriodError(f"stabilizer produced norm {n}, expected a unit")
-    inv = u.conj() if n == 1 else -u.conj()
-    found = None
-    for cand in (u, -u, inv, -inv):
-        if (cand - 1).real_sign() > 0:
-            found = cand
-            break
-    if found is None:
-        raise PeriodError("stabilizer produced a trivial unit")
-    if not found.is_integral():
-        raise PeriodError(f"unit {found} is not integral")
-    return FundamentalUnit(found, int(n))
-
-
-_unit_cache: dict[int, FundamentalUnit] = {}
-_cache_lock = Lock()
+    return CFExpansion(d, a0, period)
 
 
 def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(d)).
 
-    Results are memoised per d for the lifetime of the process.
+    Computed afresh on every call from one period of the expansion of
+    omega, in memory that grows only with the size of the unit.
     """
-    hit = _unit_cache.get(field.d)
-    if hit is not None:
-        return hit
     d = field.d
+    s = isqrt(d)
     if field.half_basis:
-        # expand omega = (1 + sqrt(d))/2
-        _, _, c, d_entry = _surd_stabilizer(d, 1, 2)
-        u = FieldElem(field, d_entry + Fraction(c, 2), Fraction(c, 2))
+        # omega = (1 + sqrt(d))/2, so xi_1 = (P + sqrt(d))/((d - P^2)/2)
+        a0 = (1 + s) // 2
+        P = 2 * a0 - 1
+        Q = (d - P * P) // 2
     else:
-        _, _, c, d_entry = _surd_stabilizer(d, 0, 1)
-        u = FieldElem(field, Fraction(d_entry), Fraction(c))
-    unit = _normalize_unit(u)
-    with _cache_lock:
-        _unit_cache.setdefault(field.d, unit)
-    return _unit_cache[field.d]
+        a0, P, Q = s, s, d - s * s
+    q_prev, q = 0, 1
+    for a in _period(d, P, Q):
+        q_prev, q = q, a * q + q_prev
+    c, d_entry = q_prev, q - a0 * q_prev
+    # c*omega + d_entry = q_L + q_{L-1}/xi_1 > 1: no sign or inverse to pick
+    if field.half_basis:
+        value = FieldElem(field, d_entry + Fraction(c, 2), Fraction(c, 2))
+    else:
+        value = FieldElem(field, Fraction(d_entry), Fraction(c))
+    n = value.norm()
+    if n not in (1, -1):
+        raise PeriodError(f"period of d={d} produced norm {n}, expected a unit")
+    return FundamentalUnit(value, int(n))
 
 
 def unit_square(unit: FundamentalUnit) -> FieldElem:
     """The totally positive generator eps^2 of the group acting on forms."""
     return unit.value * unit.value
-
-
-def seed_unit_cache(entries: Iterable[tuple[int, Fraction, Fraction, int]]) -> None:
-    """Preload memoised units, validating each entry exactly."""
-    for d, alpha, beta, norm_sign in entries:
-        field = FieldDesc(d)
-        value = FieldElem(field, Fraction(alpha), Fraction(beta))
-        if value.norm() != norm_sign or norm_sign not in (1, -1):
-            raise QuadFieldError(f"cached unit for d={d} has wrong norm")
-        if not value.is_integral() or (value - 1).real_sign() <= 0:
-            raise QuadFieldError(f"cached unit for d={d} is not a unit > 1")
-        with _cache_lock:
-            _unit_cache.setdefault(d, FundamentalUnit(value, norm_sign))
-
-
-def cached_units() -> dict[int, FundamentalUnit]:
-    """Snapshot of the memo, keyed by d."""
-    with _cache_lock:
-        return dict(_unit_cache)
 
 
 def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:

@@ -25,7 +25,7 @@ from .quadfield import (
     slope,
 )
 from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints, min_data
-from .units import fundamental_unit, unit_square
+from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
@@ -185,6 +185,7 @@ def _rightward_line(vertex: PerfectForm) -> SupportLine:
 class WalkResult:
     field: FieldDesc
     classes: tuple[PerfectForm, ...]
+    unit: FundamentalUnit
     eps2: FieldElem
 
     @property
@@ -199,7 +200,8 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     until that vertex returns multiplied by eps^2, which closes a full
     period of the envelope.
     """
-    eps2 = unit_square(fundamental_unit(field))
+    unit = fundamental_unit(field)
+    eps2 = unit_square(unit)
     first = initial_perfect(field)
     shifted = first.form * eps2
     if slope(shifted) <= first.s:
@@ -210,20 +212,37 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     for _ in range(_WALK_CAP):
         nxt = neighbor_step(field, current.s, _rightward_line(current))
         if nxt.pair == target:
-            return WalkResult(field, tuple(classes), eps2)
+            return WalkResult(field, tuple(classes), unit, eps2)
         classes.append(nxt)
         current = nxt
     raise WalkError(f"period did not close within {_WALK_CAP} vertices")
 
 
-def classes_equal(
-    x: FieldElem, y: FieldElem, eps2: FieldElem, k_range: int = 3
-) -> bool:
-    """Same ray modulo squared units, searching exponents |k| <= k_range."""
+def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
+    """Whether x and y span the same ray modulo powers of eps2.
+
+    Multiplication by eps2 maps slopes by a strictly increasing Moebius
+    map, so every class has exactly one ray with slope in
+    [slope(y), slope(y*eps2)).  x is stepped there by eps2^(+-1), and
+    the classes agree exactly when it lands on y's ray.
+    """
     if not (x.is_totally_positive() and y.is_totally_positive()):
         raise QuadFieldError("class comparison needs totally positive forms")
-    py = primitive_normalize(y)
-    for k in range(-k_range, k_range + 1):
-        if primitive_normalize(x * eps2**k) == py:
-            return True
-    return False
+    # without a norm-1 unit > 1 the steps below need not end
+    if not (
+        eps2.is_integral()
+        and eps2.is_totally_positive()
+        and eps2.norm() == 1
+        and eps2.b > 0
+    ):
+        raise QuadFieldError(f"{eps2} is not a totally positive unit > 1")
+    lo, hi = slope(y), slope(y * eps2)
+    s = slope(x)
+    while s < lo:
+        x = x * eps2
+        s = slope(x)
+    inverse = eps2.conj()
+    while s >= hi:
+        x = x * inverse
+        s = slope(x)
+    return s == lo

@@ -314,7 +314,7 @@ def test_criterion_7_invariance_and_symmetry():
         for cls in walk.classes:
             flipped = cls.form.conj()
             assert any(
-                classes_equal(other.form, flipped, walk.eps2, k_range=6)
+                classes_equal(other.form, flipped, walk.eps2)
                 for other in walk.classes
             ), d
     _passed(7, f"60 random forms, {len(sample)} walks closed and symmetric", t0)

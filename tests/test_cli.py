@@ -3,7 +3,6 @@ deterministic scans."""
 
 import json
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -11,13 +10,11 @@ import unaryperfect.cli as cli
 from unaryperfect.cli import (
     build_record,
     csv_projection,
-    load_unit_cache,
     main,
     parse_csv,
     parse_json,
     render_csv,
     render_json,
-    save_unit_cache,
     squarefree_sieve,
 )
 from unaryperfect.quadfield import is_squarefree
@@ -88,18 +85,6 @@ def test_parse_csv_rejects_garbage():
 def test_json_round_trip_is_exact():
     records = [build_record(d) for d in SAMPLE_DS]
     assert parse_json(render_json(records)) == records
-
-
-def test_unit_cache_file(tmp_path):
-    path = tmp_path / "units.cache"
-    assert load_unit_cache(str(path)) == []
-    save_unit_cache(str(path), [(9999991, Fraction(3), Fraction(1), 1)])
-    entries = dict((d, rest) for d, *rest in load_unit_cache(str(path)))
-    assert entries[9999991] == [Fraction(3), Fraction(1), 1]
-    text = path.read_text()
-    assert text.endswith("\n")
-    ds = [int(line.split()[0]) for line in text.splitlines()]
-    assert ds == sorted(ds)
 
 
 def test_analyze_exit_codes(capsys):
@@ -181,17 +166,48 @@ def test_scan_is_deterministic_across_workers(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_scan_cache_round_trip(tmp_path):
-    cache = tmp_path / "units.cache"
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor and maps in this process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "hi,jobs,cpus,size",
+    [
+        (20, 100000, 8, 8),  # 12 fields, 8 CPUs
+        (20, 3, 8, 3),
+        (7, 100000, 64, 5),  # 5 fields
+        (20, 100000, None, None),  # unknown CPU count: one process, no pool
+        (20, 2, 1, None),
+    ],
+)
+def test_scan_pool_size_is_bounded(monkeypatch, tmp_path, hi, jobs, cpus, size):
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return _SerialPool()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     out = tmp_path / "a.csv"
-    assert main(["scan", "30", "60", "--cache", str(cache), "--out", str(out)]) == 0
-    entries = load_unit_cache(str(cache))
-    ds = {d for d, *_ in entries}
-    assert set(squarefree_sieve(30, 60)) <= ds
-    # second run consumes the cache and produces identical output
-    out2 = tmp_path / "b.csv"
-    assert main(["scan", "30", "60", "--cache", str(cache), "--out", str(out2)]) == 0
-    assert out.read_bytes() == out2.read_bytes()
+    assert main(["scan", "2", str(hi), "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert sizes == ([] if size is None else [size])
+    assert out.read_text() == render_csv([build_record(d) for d in squarefree_sieve(2, hi)])
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scan_rejects_jobs_below_one(capsys, jobs):
+    assert main(["scan", "2", "30", "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_family_small(capsys):

@@ -1,6 +1,7 @@
 """Continued fractions and fundamental units, checked against the
 classical Pell tables and an exhaustive lattice-scan oracle."""
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -8,19 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import unaryperfect.units as units
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
 from unaryperfect.units import (
     CFExpansion,
     FundamentalUnit,
     SearchExhaustedError,
-    cached_units,
     cf_sqrt,
     fundamental_unit,
-    seed_unit_cache,
     unit_brute_oracle,
     unit_square,
-    _surd_stabilizer,
+    _period,
 )
 
 SQUAREFREE = [d for d in range(2, 400) if is_squarefree(d)]
@@ -112,7 +110,7 @@ def test_unit_is_a_unit(d):
     assert u.value.norm() == u.norm_sign
     assert u.norm_sign in (1, -1)
     assert (u.value - 1).real_sign() > 0
-    assert fundamental_unit(field) is u  # memoised
+    assert fundamental_unit(field) == u  # stateless, so every call agrees
 
 
 @pytest.mark.parametrize("d", [d for d in range(2, 61) if is_squarefree(d)])
@@ -129,28 +127,59 @@ def test_norm_sign_is_period_parity(d):
     assert fundamental_unit(FieldDesc(d)).norm_sign == parity
 
 
+def _stabilizer(a0, period):
+    """(A, B, C, D) with xi = (A*xi + B)/(C*xi + D) for xi = [a0; period repeated].
+
+    From the convergents p_k/q_k of xi over one period of length L it is
+    [[p_{L-1}, p_L - a0*p_{L-1}], [q_{L-1}, q_L - a0*q_{L-1}]].
+    """
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    for a in period:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p_prev, p - a0 * p_prev, q_prev, q - a0 * q_prev
+
+
 @given(st.sampled_from(SQUAREFREE))
 @settings(max_examples=60)
 def test_stabilizer_fixes_sqrt(d):
-    A, B, C, D = _surd_stabilizer(d, 0, 1)
+    exp = cf_sqrt(d)
+    A, B, C, D = _stabilizer(exp.a0, exp.period)
     # (A*x + B)/(C*x + D) = x for x = sqrt(d) means B = C*d and A = D
     assert A == D and B == C * d
     assert abs(A * D - B * C) == 1
+    field = FieldDesc(d)
+    eps = fundamental_unit(field).value
+    # D + C*sqrt(d) generates the units of Z[sqrt(d)], of index 1 or 3 when d = 1 (mod 4)
+    assert field.element(D, C) in ((eps, eps**3) if d % 4 == 1 else (eps,))
 
 
 @given(st.sampled_from([d for d in SQUAREFREE if d % 4 == 1]))
 @settings(max_examples=40)
 def test_stabilizer_fixes_half_surd(d):
-    A, B, C, D = _surd_stabilizer(d, 1, 2)
+    a0 = (1 + isqrt(d)) // 2
+    P = 2 * a0 - 1
+    period = tuple(_period(d, P, (d - P * P) // 2))
+    assert period[-1] == 2 * a0 - 1
+    assert period[:-1] == period[-2::-1]
+    A, B, C, D = _stabilizer(a0, period)
     # x = (1 + sqrt(d))/2 satisfies x^2 = x + (d - 1)/4
     assert A == C + D
     assert B == C * (d - 1) // 4 and C * (d - 1) % 4 == 0
     assert abs(A * D - B * C) == 1
+    field = FieldDesc(d)
+    assert fundamental_unit(field).value == D + C * field.omega()
 
 
-def test_stabilizer_rejects_bad_denominator():
-    with pytest.raises(QuadFieldError):
-        _surd_stabilizer(7, 1, 4)  # 4 does not divide 7 - 1
+def test_unit_memory_stays_flat():
+    # period 21,032: a unit loop that keeps per-step state needs about 100 MB
+    tracemalloc.start()
+    try:
+        fundamental_unit(FieldDesc(100000231))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @pytest.mark.parametrize("d", [2, 5, 7, 13, 94])
@@ -187,35 +216,3 @@ def test_oracle_prefers_negative_norm():
     got = unit_brute_oracle(FieldDesc(2), 10)
     assert got.norm_sign == -1
     assert got.value == FieldDesc(2).element(1, 1)
-
-
-def test_seed_cache_validates(monkeypatch):
-    monkeypatch.setattr(units, "_unit_cache", {})
-    with pytest.raises(QuadFieldError):
-        seed_unit_cache([(7, Fraction(8), Fraction(3), -1)])  # wrong sign
-    with pytest.raises(QuadFieldError):
-        seed_unit_cache([(7, Fraction(1, 3), Fraction(1), 1)])  # not integral
-    with pytest.raises(QuadFieldError):
-        seed_unit_cache([(7, Fraction(-8), Fraction(3), 1)])  # not > 1
-    with pytest.raises(QuadFieldError):
-        seed_unit_cache([(12, Fraction(7), Fraction(2), 1)])  # d not squarefree
-
-
-def test_seed_cache_is_trusted(monkeypatch):
-    # a seeded entry short-circuits computation even when it is not
-    # fundamental; callers own the provenance of cache files
-    monkeypatch.setattr(units, "_unit_cache", {})
-    field = FieldDesc(7)
-    eps2 = FieldDesc(7).element(8, 3) ** 2
-    seed_unit_cache([(7, eps2.a, eps2.b, 1)])
-    assert fundamental_unit(field).value == eps2
-    assert cached_units() == {7: FundamentalUnit(eps2, 1)}
-
-
-def test_seed_cache_does_not_overwrite(monkeypatch):
-    monkeypatch.setattr(units, "_unit_cache", {})
-    true_unit = FieldDesc(7).element(8, 3)
-    seed_unit_cache([(7, true_unit.a, true_unit.b, 1)])
-    eps2 = true_unit ** 2
-    seed_unit_cache([(7, eps2.a, eps2.b, 1)])
-    assert fundamental_unit(FieldDesc(7)).value == true_unit

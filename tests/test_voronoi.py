@@ -170,7 +170,7 @@ def test_walk_respects_conjugation(d):
         flipped = cls.form.conj()
         assert flipped.is_totally_positive()
         assert any(
-            classes_equal(other.form, flipped, walk.eps2, k_range=6)
+            classes_equal(other.form, flipped, walk.eps2)
             for other in walk.classes
         )
 
@@ -204,3 +204,34 @@ def test_classes_equal():
     assert not classes_equal(a1, a2, eps2)  # d = 7 has two classes
     with pytest.raises(QuadFieldError):
         classes_equal(F7.element(1, 1), a1, eps2)
+
+
+@pytest.mark.parametrize("d", [7, 13, 223])
+@pytest.mark.parametrize("k", [-9, -4, 4, 9])
+def test_classes_equal_far_powers(d, k):
+    walk = walk_classes(FieldDesc(d))
+    for cls in walk.classes:
+        assert classes_equal(cls.form, cls.form * walk.eps2**k, walk.eps2)
+        assert classes_equal(cls.form * walk.eps2**k, cls.form, walk.eps2)
+    if walk.class_count > 1:
+        a, b = walk.classes[:2]
+        assert not classes_equal(a.form, b.form * walk.eps2**k, walk.eps2)
+
+
+def test_classes_equal_rejects_bad_eps2():
+    F7 = FieldDesc(7)
+    eps2 = F7.element(8, 3) ** 2
+    a1 = F7.element(Fraction(1, 2), Fraction(5, 28))
+    for bad in (
+        F7.one(),  # not > 1
+        eps2.conj(),  # < 1
+        -eps2,  # not totally positive
+        F7.element(2),  # not a unit
+        F7.element(Fraction(4, 3), Fraction(1, 3)),  # norm 1, not integral
+        F7.element(8, 3) * F7.element(2, 1),  # norm -3
+    ):
+        with pytest.raises(QuadFieldError):
+            classes_equal(a1, a1, bad)
+    F2 = FieldDesc(2)
+    with pytest.raises(QuadFieldError):
+        classes_equal(F2.one(), F2.one(), F2.element(1, 1))  # norm -1
