@@ -47,6 +47,7 @@ from .units import (
     FundamentalUnit,
     PeriodError,
     SearchExhaustedError,
+    SizeLimitError,
     cf_sqrt,
     fundamental_unit,
     unit_brute_oracle,
@@ -85,6 +86,7 @@ __all__ = [
     "ReductionCapError",
     "RejectedCandidate",
     "SearchExhaustedError",
+    "SizeLimitError",
     "WalkError",
     "WalkResult",
     "brute_force_min",

@@ -1,7 +1,8 @@
 """Command line front end: field reports, range scans, family checks.
 
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
-input; 3 internal failure.  Scan output is deterministic: records are
+input, or a size limit overrun (a step cap of the continued fraction or
+the walk); 3 internal failure.  Scan output is deterministic: records are
 emitted in ascending d and all vector lists are sorted, so reruns and
 different worker counts produce identical bytes.
 """
@@ -15,7 +16,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +33,7 @@ from .family import (
 )
 from .quadfield import FieldDesc, QuadFieldError
 from .traceform import ReductionCapError, brute_force_min, min_data
-from .units import PeriodError, SearchExhaustedError
+from .units import PeriodError, SearchExhaustedError, SizeLimitError
 from .voronoi import PerfectForm, WalkError, classes_equal, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
@@ -280,6 +280,9 @@ def cmd_scan(args) -> int:
     # the pool forks all its workers up front, so never ask for more than can run
     workers = min(args.jobs, len(ds), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing costs every other command about 2.5 MB
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(ds) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_scan_worker, ds, chunksize=chunk))
@@ -420,6 +423,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except SizeLimitError as exc:
+        print(f"size limit: {exc}", file=sys.stderr)
+        return 2
     except (
         QuadFieldError,
         HypothesisError,

@@ -27,7 +27,7 @@ class QuadFieldError(ValueError):
 
 
 def is_squarefree(d: int) -> bool:
-    """Squarefreeness by trial division up to the cube root.
+    """Squarefreeness by trial division by 2 and odd p up to the cube root.
 
     After stripping primes p <= d**(1/3) the cofactor has at most two
     prime factors, so it fails to be squarefree only if it is a perfect
@@ -36,13 +36,17 @@ def is_squarefree(d: int) -> bool:
     if d < 1:
         return False
     n = d
-    p = 2
+    if n % 2 == 0:
+        n //= 2
+        if n % 2 == 0:
+            return False
+    p = 3
     while p * p * p <= d:
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return False
-        p += 1
+        p += 2
     r = isqrt(n)
     return r <= 1 or r * r != n
 

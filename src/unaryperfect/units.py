@@ -2,12 +2,28 @@
 
 For xi = sqrt(d) or (1 + sqrt(d))/2, the complete quotient
 xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
-Galois's theorem its expansion is purely periodic.  Writing
-xi_1 = (P + sqrt(d))/Q, one period runs the exact integer recurrence
-P' = a*Q - P, Q' = (d - P'^2)/Q until (P, Q) returns.  With q_k the
-convergent denominators of xi, the matrix fixing xi has bottom row
-(q_{L-1}, q_L - a0*q_{L-1}), so q_{L-1}*xi + q_L - a0*q_{L-1} is the
-fundamental unit of Z[xi].  One state and two denominators are kept.
+Galois's theorem its expansion [b_1, ..., b_L] is purely periodic.
+Writing xi_j = (P_j + sqrt(d))/Q_j, one exact integer recurrence
+P_{j+1} = b_j*Q_j - P_j, Q_{j+1} = (d - P_{j+1}^2)/Q_j carries the
+period; `cf_sqrt` runs it until (P, Q) returns.
+
+The fundamental unit of Z[xi] is q_{L-1}*xi + q_L - a0*q_{L-1}, where
+q_{-1} = 0, q_0 = 1, q_j = b_j*q_{j-1} + q_{j-2} are the convergent
+denominators of xi.  Only its omega-coefficient c = q_{L-1} needs the
+continued fraction.  b_1, ..., b_{L-1} is a palindrome, and so is the
+state sequence, so `fundamental_unit` stops at its centre: at step j,
+with the next state taken,
+
+- P_{j+1} = P_j means L = 2j; then c = q_{j-1}*(q_j + q_{j-2}), N = +1;
+- Q_{j+1} = Q_j means L = 2j + 1; then c = q_j^2 + q_{j-1}^2, N = -1;
+- the first state again at j = 1 means L = 1, c = 1, N = -1.
+
+Both values of c are the continuant identity
+K(b_1..b_n) = K(b_1..b_j)*K(b_{j+1}..b_n) + K(b_1..b_{j-1})*K(b_{j+2}..b_n)
+split at the centre, with the reversed halves equal.  The unit's norm
+is N = (-1)^L, and its rational part is one exact square root of the
+norm equation: eps = r + c*sqrt(d) with r^2 = d*c^2 + N, or
+eps = (r + c*sqrt(d))/2 with r^2 = d*c^2 + 4N when d = 1 (mod 4).
 """
 
 from __future__ import annotations
@@ -23,7 +39,11 @@ _STEP_CAP = 10**6
 
 
 class PeriodError(RuntimeError):
-    """Continued-fraction step cap exceeded."""
+    """The continued fraction broke an identity it must satisfy."""
+
+
+class SizeLimitError(RuntimeError):
+    """A step cap was overrun: the input is too large, not wrong."""
 
 
 class SearchExhaustedError(RuntimeError):
@@ -47,21 +67,22 @@ class FundamentalUnit:
     norm_sign: int
 
 
-def _period(d: int, P: int, Q: int) -> Iterator[int]:
-    """Partial quotients of one period of the reduced surd (P + sqrt(d))/Q.
+def _period(d: int, P: int, Q: int) -> Iterator[tuple[int, int, int]]:
+    """(b_j, P_{j+1}, Q_{j+1}) along one period of the reduced surd (P + sqrt(d))/Q.
 
     Q must be positive and divide d - P^2; both stay so along the period.
+    The caller may stop early; _STEP_CAP bounds the steps actually taken.
     """
     s = isqrt(d)
-    first = (P, Q)
+    P1, Q1 = P, Q
     for _ in range(_STEP_CAP):
         a = (P + s) // Q
-        yield a
         P = a * Q - P
         Q = (d - P * P) // Q
-        if (P, Q) == first:
+        yield a, P, Q
+        if P == P1 and Q == Q1:
             return
-    raise PeriodError(f"no period within {_STEP_CAP} steps for d={d}")
+    raise SizeLimitError(f"no period within {_STEP_CAP} steps for d={d}")
 
 
 def cf_sqrt(d: int) -> CFExpansion:
@@ -69,40 +90,53 @@ def cf_sqrt(d: int) -> CFExpansion:
     a0 = isqrt(d)
     if a0 * a0 == d:
         raise QuadFieldError(f"{d} is a perfect square")
-    period = tuple(_period(d, a0, d - a0 * a0))
+    period = tuple(a for a, _, _ in _period(d, a0, d - a0 * a0))
     if period[-1] != 2 * a0:
         raise PeriodError(f"period of sqrt({d}) did not close on 2*a0")
     return CFExpansion(d, a0, period)
 
 
+def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
+    """(q_{L-1}, (-1)^L) for the reduced surd (P + sqrt(d))/Q, from half its period."""
+    q2, q1 = 0, 1  # q_{j-2}, q_{j-1}
+    for a, P_next, Q_next in _period(d, P, Q):
+        q = a * q1 + q2
+        if P_next == P:
+            if Q_next == Q:  # the first state again: L = 1
+                return 1, -1
+            return q1 * (q + q2), 1
+        if Q_next == Q:
+            return q * q + q1 * q1, -1
+        P, Q = P_next, Q_next
+        q2, q1 = q1, q
+    raise PeriodError(f"period of d={d} closed without a centre")
+
+
 def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(d)).
 
-    Computed afresh on every call from one period of the expansion of
-    omega, in memory that grows only with the size of the unit.
+    Computed afresh on every call from half a period of the expansion
+    of omega, in memory that grows only with the size of the unit.
     """
     d = field.d
     s = isqrt(d)
     if field.half_basis:
         # omega = (1 + sqrt(d))/2, so xi_1 = (P + sqrt(d))/((d - P^2)/2)
-        a0 = (1 + s) // 2
-        P = 2 * a0 - 1
-        Q = (d - P * P) // 2
+        P = 2 * ((1 + s) // 2) - 1
+        c, n = _centre_coefficient(d, P, (d - P * P) // 2)
+        r2 = d * c * c + 4 * n
     else:
-        a0, P, Q = s, s, d - s * s
-    q_prev, q = 0, 1
-    for a in _period(d, P, Q):
-        q_prev, q = q, a * q + q_prev
-    c, d_entry = q_prev, q - a0 * q_prev
-    # c*omega + d_entry = q_L + q_{L-1}/xi_1 > 1: no sign or inverse to pick
+        c, n = _centre_coefficient(d, s, d - s * s)
+        r2 = d * c * c + n
+    r = isqrt(r2)
+    if r * r != r2:
+        # c may have thousands of digits, too many for str(); leave it out
+        raise PeriodError(f"centre of the period of d={d} solves no norm equation")
     if field.half_basis:
-        value = FieldElem(field, d_entry + Fraction(c, 2), Fraction(c, 2))
+        value = FieldElem(field, Fraction(r, 2), Fraction(c, 2))
     else:
-        value = FieldElem(field, Fraction(d_entry), Fraction(c))
-    n = value.norm()
-    if n not in (1, -1):
-        raise PeriodError(f"period of d={d} produced norm {n}, expected a unit")
-    return FundamentalUnit(value, int(n))
+        value = FieldElem(field, Fraction(r), Fraction(c))
+    return FundamentalUnit(value, n)
 
 
 def unit_square(unit: FundamentalUnit) -> FieldElem:

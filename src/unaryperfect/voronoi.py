@@ -25,7 +25,7 @@ from .quadfield import (
     slope,
 )
 from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints, min_data
-from .units import FundamentalUnit, fundamental_unit, unit_square
+from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
@@ -215,7 +215,7 @@ def walk_classes(field: FieldDesc) -> WalkResult:
             return WalkResult(field, tuple(classes), unit, eps2)
         classes.append(nxt)
         current = nxt
-    raise WalkError(f"period did not close within {_WALK_CAP} vertices")
+    raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 
 
 def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:

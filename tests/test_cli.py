@@ -1,12 +1,17 @@
 """Command line behaviour: serialization round trips, exit codes,
 deterministic scans."""
 
+import concurrent.futures
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import unaryperfect.cli as cli
+from unaryperfect import units, voronoi
 from unaryperfect.cli import (
     build_record,
     csv_projection,
@@ -124,6 +129,41 @@ def test_analyze_internal_failure_is_exit_3(monkeypatch, capsys):
     assert "internal error:" in capsys.readouterr().err
 
 
+def test_step_cap_overrun_is_exit_2(monkeypatch, capsys):
+    # the centre of the period of sqrt(94) is 8 steps in
+    monkeypatch.setattr(units, "_STEP_CAP", 2)
+    assert main(["analyze", "94"]) == 2
+    assert "size limit:" in capsys.readouterr().err
+
+
+def test_walk_cap_overrun_is_exit_2(monkeypatch, capsys):
+    # d = 1007 has three classes, so one vertex cannot close the period
+    monkeypatch.setattr(voronoi, "_WALK_CAP", 1)
+    assert main(["analyze", "1007"]) == 2
+    assert "size limit:" in capsys.readouterr().err
+
+
+def test_failed_norm_square_is_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(units, "_centre_coefficient", lambda d, P, Q: (2, 1))
+    assert main(["analyze", "7"]) == 3
+    assert "internal error:" in capsys.readouterr().err
+
+
+def test_cli_does_not_load_multiprocessing():
+    code = (
+        "import sys, unaryperfect.cli as cli\n"
+        "assert cli.main(['analyze', '7']) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_usage_errors():
     assert main([]) == 2
     assert main(["scan", "5", "2"]) == 2
@@ -196,7 +236,7 @@ def test_scan_pool_size_is_bounded(monkeypatch, tmp_path, hi, jobs, cpus, size):
         sizes.append(max_workers)
         return _SerialPool()
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     out = tmp_path / "a.csv"
     assert main(["scan", "2", str(hi), "--jobs", str(jobs), "--out", str(out)]) == 0

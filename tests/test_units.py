@@ -1,5 +1,6 @@
 """Continued fractions and fundamental units, checked against the
-classical Pell tables and an exhaustive lattice-scan oracle."""
+classical Pell tables, the full-period unit and an exhaustive
+lattice-scan oracle."""
 
 import tracemalloc
 from fractions import Fraction
@@ -9,11 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unaryperfect import units
+from unaryperfect.cli import squarefree_sieve
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
 from unaryperfect.units import (
     CFExpansion,
     FundamentalUnit,
+    PeriodError,
     SearchExhaustedError,
+    SizeLimitError,
     cf_sqrt,
     fundamental_unit,
     unit_brute_oracle,
@@ -159,7 +164,7 @@ def test_stabilizer_fixes_sqrt(d):
 def test_stabilizer_fixes_half_surd(d):
     a0 = (1 + isqrt(d)) // 2
     P = 2 * a0 - 1
-    period = tuple(_period(d, P, (d - P * P) // 2))
+    period = tuple(a for a, _, _ in _period(d, P, (d - P * P) // 2))
     assert period[-1] == 2 * a0 - 1
     assert period[:-1] == period[-2::-1]
     A, B, C, D = _stabilizer(a0, period)
@@ -169,6 +174,86 @@ def test_stabilizer_fixes_half_surd(d):
     assert abs(A * D - B * C) == 1
     field = FieldDesc(d)
     assert fundamental_unit(field).value == D + C * field.omega()
+
+
+def _omega_surd(field):
+    """(a0, P, Q) with omega = a0 + 1/xi_1 and xi_1 = (P + sqrt(d))/Q reduced."""
+    d, s = field.d, isqrt(field.d)
+    if field.half_basis:
+        a0 = (1 + s) // 2
+        P = 2 * a0 - 1
+        return a0, P, (d - P * P) // 2
+    return s, s, d - s * s
+
+
+def _full_period_unit(field):
+    """The unit from the whole period: q_{L-1}*omega + q_L - a0*q_{L-1}."""
+    a0, P, Q = _omega_surd(field)
+    q_prev, q = 0, 1
+    for a, _, _ in _period(field.d, P, Q):
+        q_prev, q = q, a * q + q_prev
+    value = (q - a0 * q_prev) + q_prev * field.omega()
+    n = value.norm()
+    assert n in (1, -1)
+    return FundamentalUnit(value, int(n))
+
+
+def test_centre_rule_matches_full_period():
+    mismatches = [
+        d
+        for d in range(2, 10000)
+        if is_squarefree(d)
+        and fundamental_unit(FieldDesc(d)) != _full_period_unit(FieldDesc(d))
+    ]
+    assert mismatches == []
+
+
+def test_centre_rule_matches_full_period_near_1e8():
+    # the fields of the benchmark's unit survey: periods in the thousands
+    ds = squarefree_sieve(10**8, 10**8 + 800)[:400]
+    assert len(ds) == 400
+    mismatches = [
+        d for d in ds if fundamental_unit(FieldDesc(d)) != _full_period_unit(FieldDesc(d))
+    ]
+    assert mismatches == []
+
+
+# each case of the centre rule, with the period length L of the omega
+# surd; every case has a sqrt(d) and a (1 + sqrt(d))/2 field
+CENTRE_CASES = [
+    (2, 1), (5, 1), (10, 1), (13, 1),  # back to the first state
+    (3, 2), (6, 2), (21, 2),  # P_2 = P_1
+    (17, 3), (41, 5), (58, 7),  # Q_{j+1} = Q_j
+    (7, 4), (19, 6), (94, 16), (1007, 6), (33, 4), (129, 10),  # P_{j+1} = P_j
+]
+
+
+@pytest.mark.parametrize("d,length", CENTRE_CASES)
+def test_centre_rule_cases(d, length):
+    field = FieldDesc(d)
+    _, P, Q = _omega_surd(field)
+    assert sum(1 for _ in _period(d, P, Q)) == length
+    got = fundamental_unit(field)
+    assert got == _full_period_unit(field)
+    assert got.norm_sign == (-1) ** length
+    assert got == unit_brute_oracle(field, 300000)
+
+
+def test_step_cap_is_a_size_limit(monkeypatch):
+    # d = 94 reaches the centre of its period at step 8
+    monkeypatch.setattr(units, "_STEP_CAP", 8)
+    assert fundamental_unit(FieldDesc(94)).value == FieldDesc(94).element(2143295, 221064)
+    monkeypatch.setattr(units, "_STEP_CAP", 7)
+    with pytest.raises(SizeLimitError):
+        fundamental_unit(FieldDesc(94))
+    with pytest.raises(SizeLimitError):
+        cf_sqrt(94)
+
+
+def test_failed_norm_square_is_a_period_error(monkeypatch):
+    monkeypatch.setattr(units, "_centre_coefficient", lambda d, P, Q: (2, 1))
+    with pytest.raises(PeriodError):
+        fundamental_unit(FieldDesc(7))
 
 
 def test_unit_memory_stays_flat():
