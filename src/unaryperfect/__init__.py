@@ -40,17 +40,14 @@ from .traceform import (
     ReductionCapError,
     brute_force_min,
     min_data,
-    trace_form,
 )
 from .units import (
     CFExpansion,
     FundamentalUnit,
     PeriodError,
-    SearchExhaustedError,
     SizeLimitError,
     cf_sqrt,
     fundamental_unit,
-    unit_brute_oracle,
     unit_square,
 )
 from .voronoi import (
@@ -85,7 +82,6 @@ __all__ = [
     "QuadFieldError",
     "ReductionCapError",
     "RejectedCandidate",
-    "SearchExhaustedError",
     "SizeLimitError",
     "WalkError",
     "WalkResult",
@@ -110,8 +106,6 @@ __all__ = [
     "predicted_minimal_set",
     "primitive_normalize",
     "slope",
-    "trace_form",
-    "unit_brute_oracle",
     "unit_square",
     "walk_classes",
 ]

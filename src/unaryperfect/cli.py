@@ -31,9 +31,9 @@ from .family import (
     predicted_a3_minimum,
     predicted_minimal_set,
 )
-from .quadfield import FieldDesc, QuadFieldError
+from .quadfield import FieldDesc, QuadFieldError, fraction_str
 from .traceform import ReductionCapError, brute_force_min, min_data
-from .units import PeriodError, SearchExhaustedError, SizeLimitError
+from .units import PeriodError, SizeLimitError
 from .voronoi import PerfectForm, WalkError, classes_equal, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
@@ -121,8 +121,8 @@ def render_csv(records: list[ScanRecord]) -> str:
                 r.d,
                 r.n_classes,
                 r.dclass.tag,
-                str(r.unit_alpha),
-                str(r.unit_beta),
+                fraction_str(r.unit_alpha),
+                fraction_str(r.unit_beta),
                 r.norm_sign,
                 "" if r.predicted is None else r.predicted,
                 _opt_str(r.agree),
@@ -175,8 +175,8 @@ def record_to_dict(r: ScanRecord) -> dict:
         "m": r.dclass.m,
         "k": r.dclass.k,
         "delta": r.dclass.delta,
-        "alpha": str(r.unit_alpha),
-        "beta": str(r.unit_beta),
+        "alpha": fraction_str(r.unit_alpha),
+        "beta": fraction_str(r.unit_beta),
         "norm": r.norm_sign,
         "predicted_nK": r.predicted,
         "agree": r.agree,
@@ -366,7 +366,7 @@ def cmd_verify_family(args) -> int:
 def cmd_oracle(args) -> int:
     field = FieldDesc(args.d)
     x = field.element(Fraction(args.alpha), Fraction(args.beta))
-    box = (args.box, args.box) if args.box else None
+    box = None if args.box is None else (args.box, args.box)
     md = brute_force_min(x, box)
     print(f"form: {x}")
     print(f"minimum: {md.mu}")
@@ -426,13 +426,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except (
-        QuadFieldError,
-        HypothesisError,
-        SearchExhaustedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (QuadFieldError, HypothesisError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (WalkError, ReductionCapError, PeriodError, InvariantError) as exc:

@@ -8,12 +8,11 @@ for d = 1 (mod 4).  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
-
-Rat = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -24,6 +23,19 @@ Scalar = Union[int, Fraction]
 
 class QuadFieldError(ValueError):
     """Domain error in field construction or element use."""
+
+
+def fraction_str(x: Fraction) -> str:
+    """str(x), also past the digit limit that int's str() enforces.
+
+    Units of large fields have coordinates of tens of thousands of digits.
+    decimal converts ints to text without that limit, so the process-wide
+    setting is left alone.
+    """
+    num = str(decimal.Decimal(x.numerator))
+    if x.denominator == 1:
+        return num
+    return f"{num}/{decimal.Decimal(x.denominator)}"
 
 
 def is_squarefree(d: int) -> bool:
@@ -231,12 +243,14 @@ class FieldElem:
     def __str__(self) -> str:
         d = self.field.d
         if not self.b:
-            return str(self.a)
-        root = f"sqrt({d})" if abs(self.b) == 1 else f"{abs(self.b)}*sqrt({d})"
+            return fraction_str(self.a)
+        root = f"sqrt({d})"
+        if abs(self.b) != 1:
+            root = f"{fraction_str(abs(self.b))}*{root}"
         if not self.a:
             return root if self.b > 0 else f"-{root}"
         sign = "+" if self.b > 0 else "-"
-        return f"{self.a} {sign} {root}"
+        return f"{fraction_str(self.a)} {sign} {root}"
 
     def __repr__(self) -> str:
         return f"FieldElem({self.field.d}: {self})"

@@ -2,9 +2,13 @@
 
 A totally positive x in Q(sqrt(d)) defines the positive definite binary
 quadratic form y -> Tr(x * y^2) on the ring of integers, written over the
-basis {1, omega}.  Rational forms are scaled to integers, reduced by
-Gauss's algorithm with an exact round-to-nearest step, and the minimum
-plus all minimal vectors are read off the reduced form.
+basis {1, omega}.  Everything runs on integer forms: x = a + b*sqrt(d) is
+scaled by L = lcm(den a, den b) to an integral element, whose trace form
+has integer coefficients and is L times the form of x.  That form is
+reduced by Gauss's algorithm with an exact round-to-nearest step, the
+minimum plus all minimal vectors are read off the reduced form, and the
+minimum is divided by L again.  Scaling changes neither the reduction
+steps nor the minimal vectors.
 """
 
 from __future__ import annotations
@@ -26,65 +30,10 @@ class ReductionCapError(RuntimeError):
     """Gauss reduction failed to terminate within the step cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryQF:
-    """A*u^2 + B*u*v + C*v^2 with rational coefficients, positive definite."""
-
-    A: Fraction
-    B: Fraction
-    C: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", Fraction(self.A))
-        object.__setattr__(self, "B", Fraction(self.B))
-        object.__setattr__(self, "C", Fraction(self.C))
-        if self.A <= 0 or self.disc() <= 0:
-            raise NotPositiveDefiniteError(
-                f"({self.A}, {self.B}, {self.C}) is not positive definite"
-            )
-
-    def disc(self) -> Fraction:
-        return 4 * self.A * self.C - self.B * self.B
-
-    def value(self, u: int, v: int) -> Fraction:
-        return self.A * u * u + self.B * u * v + self.C * v * v
-
-    def is_reduced(self) -> bool:
-        return abs(self.B) <= self.A <= self.C
-
-    def __str__(self) -> str:
-        return f"({self.A}, {self.B}, {self.C})"
-
-
-@dataclass(frozen=True, slots=True)
-class UnimodularMap:
-    """Column-convention GL2(Z) change of basis: new basis j is column j."""
-
-    u00: int
-    u01: int
-    u10: int
-    u11: int
-
-    def det(self) -> int:
-        return self.u00 * self.u11 - self.u01 * self.u10
-
-    def apply(self, u: int, v: int) -> tuple[int, int]:
-        """Old coordinates of the vector with new coordinates (u, v)."""
-        return self.u00 * u + self.u01 * v, self.u10 * u + self.u11 * v
-
-
-def trace_form(x: FieldElem) -> BinaryQF:
-    """The form (u, v) -> Tr(x * (u + v*omega)^2) over x's field."""
-    if not x.is_totally_positive():
-        raise NotPositiveDefiniteError(f"{x} is not totally positive")
-    w = x.field.omega()
-    return BinaryQF((x).trace(), 2 * (x * w).trace(), (x * w * w).trace())
-
-
 # -- integer kernel ------------------------------------------------------
 #
 # The walk evaluates thousands of forms per field, so the inner loop runs
-# on plain ints.  Rational inputs are scaled through these by the caller.
+# on plain ints.  Rational elements are scaled through _scaled_form.
 
 
 def _trace_form_ints(d: int, half: bool, p: int, q: int) -> tuple[int, int, int]:
@@ -151,25 +100,18 @@ def _min_vectors_ints(
     return best, tuple(vecs)
 
 
-# -- rational wrappers -----------------------------------------------------
+# -- forms of field elements ----------------------------------------------
 
 
-def _scaled_ints(form: BinaryQF) -> tuple[int, int, int, int]:
-    L = lcm(form.A.denominator, form.B.denominator, form.C.denominator)
-    return (
-        int(form.A * L),
-        int(form.B * L),
-        int(form.C * L),
-        L,
-    )
-
-
-def gauss_reduce(form: BinaryQF) -> tuple[BinaryQF, UnimodularMap]:
-    """Reduced representative of form's GL2(Z) class, with the basis change."""
-    Ai, Bi, Ci, L = _scaled_ints(form)
-    (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(Ai, Bi, Ci)
-    reduced = BinaryQF(Fraction(Ar, L), Fraction(Br, L), Fraction(Cr, L))
-    return reduced, UnimodularMap(u00, u01, u10, u11)
+def _scaled_form(x: FieldElem) -> tuple[int, int, int, int]:
+    """(A, B, C, L): the trace form of x is (A, B, C)/L, with A, B, C ints."""
+    if not x.is_totally_positive():
+        raise NotPositiveDefiniteError(f"{x} is not totally positive")
+    a, b = x.a, x.b
+    L = lcm(a.denominator, b.denominator)
+    p = a.numerator * (L // a.denominator)
+    q = b.numerator * (L // b.denominator)
+    return (*_trace_form_ints(x.field.d, x.field.half_basis, p, q), L)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,9 +133,8 @@ def _vector_set(field: FieldDesc, coords) -> frozenset[FieldElem]:
 
 def min_data(x: FieldElem) -> MinData:
     """Minimum of Tr(x * y^2) over nonzero integral y, with its vectors."""
-    form = trace_form(x)
-    Ai, Bi, Ci, L = _scaled_ints(form)
-    (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(Ai, Bi, Ci)
+    A, B, C, L = _scaled_form(x)
+    (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(A, B, C)
     m, vecs = _min_vectors_ints(Ar, Br, Cr)
     back = [(u00 * u + u01 * v, u10 * u + u11 * v) for u, v in vecs]
     return MinData(Fraction(m, L), _vector_set(x.field, back))
@@ -205,8 +146,7 @@ def certified_box(x: FieldElem) -> tuple[int, int]:
     Uses the witness value m0 = min over (1,0), (0,1), (1,1), (1,-1); any
     vector of value <= m0 has disc * u^2 <= 4*C*m0 and disc * v^2 <= 4*A*m0.
     """
-    form = trace_form(x)
-    A, B, C, _ = _scaled_ints(form)
+    A, B, C, _ = _scaled_form(x)
     disc = 4 * A * C - B * B
     m0 = min(A, C, A + B + C, A - B + C)
     ub = isqrt(4 * C * m0 // disc)
@@ -220,8 +160,7 @@ def brute_force_min(x: FieldElem, box: tuple[int, int] | None = None) -> MinData
     Never calls the reduction path, so it cross-checks min_data.  An
     explicit box overrides the certified one at the caller's risk.
     """
-    form = trace_form(x)
-    Ai, Bi, Ci, L = _scaled_ints(form)
+    A, B, C, L = _scaled_form(x)
     ub, vb = certified_box(x) if box is None else box
     best: int | None = None
     vecs: list[tuple[int, int]] = []
@@ -229,7 +168,7 @@ def brute_force_min(x: FieldElem, box: tuple[int, int] | None = None) -> MinData
         for u in range(-ub, ub + 1):
             if v == 0 and u <= 0:
                 continue
-            val = Ai * u * u + Bi * u * v + Ci * v * v
+            val = A * u * u + B * u * v + C * v * v
             if best is None or val < best:
                 best = val
                 vecs = [(u, v)]

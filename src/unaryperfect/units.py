@@ -46,10 +46,6 @@ class SizeLimitError(RuntimeError):
     """A step cap was overrun: the input is too large, not wrong."""
 
 
-class SearchExhaustedError(RuntimeError):
-    """Exhaustive unit search hit its bound without a solution."""
-
-
 @dataclass(frozen=True, slots=True)
 class CFExpansion:
     """sqrt(d) = [a0; period repeated], exact."""
@@ -142,38 +138,3 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
 def unit_square(unit: FundamentalUnit) -> FieldElem:
     """The totally positive generator eps^2 of the group acting on forms."""
     return unit.value * unit.value
-
-
-def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:
-    """Exhaustive smallest-unit search, independent of continued fractions.
-
-    Scans the sqrt(d) coordinate lattice upward: candidates are
-    x + y*sqrt(d) for d = 2, 3 (mod 4) and (x + y*sqrt(d))/2 with
-    x = y (mod 2) otherwise, taking the first y >= 1 (then the smaller x)
-    that solves the norm equation.  The caller must pick a bound large
-    enough that a solution exists.
-    """
-    if bound < 1:
-        raise QuadFieldError(f"bound must be >= 1, got {bound}")
-    d = field.d
-    if field.half_basis:
-        for y in range(1, bound + 1):
-            t = d * y * y
-            for shift, sign in ((-4, -1), (4, 1)):
-                x2 = t + shift
-                if x2 <= 0:
-                    continue
-                x = isqrt(x2)
-                if x * x == x2 and (x - y) % 2 == 0:
-                    value = FieldElem(field, Fraction(x, 2), Fraction(y, 2))
-                    return FundamentalUnit(value, sign)
-    else:
-        for y in range(1, bound + 1):
-            t = d * y * y
-            for shift, sign in ((-1, -1), (1, 1)):
-                x2 = t + shift
-                x = isqrt(x2)
-                if x * x == x2:
-                    value = FieldElem(field, Fraction(x), Fraction(y))
-                    return FundamentalUnit(value, sign)
-    raise SearchExhaustedError(f"no unit for d={d} within bound {bound}")

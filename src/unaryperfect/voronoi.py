@@ -24,7 +24,13 @@ from .quadfield import (
     primitive_normalize,
     slope,
 )
-from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints, min_data
+from .traceform import (
+    _min_vectors_ints,
+    _reduce_ints,
+    _trace_form_ints,
+    _vector_set,
+    min_data,
+)
 from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
@@ -94,16 +100,12 @@ def vertex_at(field: FieldDesc, pair: PrimitivePair) -> PerfectForm:
 
 def _make_vertex(field: FieldDesc, p: int, q: int) -> PerfectForm:
     m, coords, _ = _pair_data(field.d, field.half_basis, p, q)
-    vecs = []
-    for u, v in coords:
-        y = field.from_basis_coords(u, v)
-        vecs.extend((y, -y))
     return PerfectForm(
         form=field.element(p, q),
         pair=PrimitivePair(p, q),
         s=Fraction(q, p),
         mu=m,
-        min_vectors=frozenset(vecs),
+        min_vectors=_vector_set(field, coords),
     )
 
 

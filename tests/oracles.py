@@ -1,0 +1,60 @@
+"""Slow, independent references that the tests compare the library against.
+
+Each oracle reaches its answer by a route the library does not use: the
+trace form by field arithmetic instead of integer scaling, and the
+fundamental unit by exhaustive search instead of continued fractions.
+"""
+
+from fractions import Fraction
+from math import isqrt
+
+from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError
+from unaryperfect.traceform import NotPositiveDefiniteError
+from unaryperfect.units import FundamentalUnit
+
+
+def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
+    """(A, B, C) with Tr(x * (u + v*omega)^2) = A*u^2 + B*u*v + C*v^2."""
+    if not x.is_totally_positive():
+        raise NotPositiveDefiniteError(f"{x} is not totally positive")
+    w = x.field.omega()
+    return x.trace(), 2 * (x * w).trace(), (x * w * w).trace()
+
+
+class SearchExhaustedError(RuntimeError):
+    """Exhaustive unit search hit its bound without a solution."""
+
+
+def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:
+    """Exhaustive smallest-unit search, independent of continued fractions.
+
+    Scans the sqrt(d) coordinate lattice upward: candidates are
+    x + y*sqrt(d) for d = 2, 3 (mod 4) and (x + y*sqrt(d))/2 with
+    x = y (mod 2) otherwise, taking the first y >= 1 (then the smaller x)
+    that solves the norm equation.  The caller must pick a bound large
+    enough that a solution exists.
+    """
+    if bound < 1:
+        raise QuadFieldError(f"bound must be >= 1, got {bound}")
+    d = field.d
+    if field.half_basis:
+        for y in range(1, bound + 1):
+            t = d * y * y
+            for shift, sign in ((-4, -1), (4, 1)):
+                x2 = t + shift
+                if x2 <= 0:
+                    continue
+                x = isqrt(x2)
+                if x * x == x2 and (x - y) % 2 == 0:
+                    value = FieldElem(field, Fraction(x, 2), Fraction(y, 2))
+                    return FundamentalUnit(value, sign)
+    else:
+        for y in range(1, bound + 1):
+            t = d * y * y
+            for shift, sign in ((-1, -1), (1, 1)):
+                x2 = t + shift
+                x = isqrt(x2)
+                if x * x == x2:
+                    value = FieldElem(field, Fraction(x), Fraction(y))
+                    return FundamentalUnit(value, sign)
+    raise SearchExhaustedError(f"no unit for d={d} within bound {bound}")

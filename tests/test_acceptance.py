@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from math import isqrt
 
+from oracles import SearchExhaustedError, trace_form, unit_brute_oracle
 from unaryperfect.cli import squarefree_sieve
 from unaryperfect.family import (
     TAG_FAM3,
@@ -24,8 +25,8 @@ from unaryperfect.family import (
     predicted_minimal_set,
 )
 from unaryperfect.quadfield import FieldDesc, is_squarefree, primitive_normalize
-from unaryperfect.traceform import brute_force_min, gauss_reduce, min_data, trace_form
-from unaryperfect.units import SearchExhaustedError, fundamental_unit, unit_brute_oracle
+from unaryperfect.traceform import _reduce_ints, _scaled_form, brute_force_min, min_data
+from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import (
     classes_equal,
     is_perfect,
@@ -184,8 +185,9 @@ def test_criterion_4_a1_minimum_and_vector_law():
 
 def test_criterion_5_reduction_agrees_with_brute_force():
     """500 seeded-random totally positive forms: the reduction pipeline
-    and the box oracle agree exactly, and every reported reduction is a
-    genuine unimodular change of variables."""
+    and the box oracle agree exactly, each integer form is the field-
+    arithmetic trace form scaled by its L, and every integer reduction is
+    a genuine unimodular change of variables."""
     t0 = time.monotonic()
     rng = random.Random(SEED + 5)
     pool = [d for d in range(2, 500) if is_squarefree(d)]
@@ -202,13 +204,16 @@ def test_criterion_5_reduction_agrees_with_brute_force():
         x = lam * x
         assert min_data(x) == brute_force_min(x), (d, p, q, lam)
 
-        form = trace_form(x)
-        reduced, change = gauss_reduce(form)
-        assert reduced.is_reduced()
-        assert reduced.disc() == form.disc()
-        assert change.det() in (1, -1)
+        A, B, C, L = _scaled_form(x)
+        assert (A, B, C) == tuple(L * c for c in trace_form(x))
+        (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(A, B, C)
+        assert abs(Br) <= Ar <= Cr
+        assert 4 * Ar * Cr - Br * Br == 4 * A * C - B * B
+        assert u00 * u11 - u01 * u10 in (1, -1)
         for u, v in ((1, 0), (0, 1), (2, -3), (-1, 4)):
-            assert form.value(*change.apply(u, v)) == reduced.value(u, v)
+            s, t = u00 * u + u01 * v, u10 * u + u11 * v
+            value = A * s * s + B * s * t + C * t * t
+            assert value == Ar * u * u + Br * u * v + Cr * v * v
         done += 1
     _passed(5, "500 forms, minima and reductions exact", t0)
 

@@ -13,6 +13,7 @@ import pytest
 import unaryperfect.cli as cli
 from unaryperfect import units, voronoi
 from unaryperfect.cli import (
+    ScanRecord,
     build_record,
     csv_projection,
     main,
@@ -22,7 +23,9 @@ from unaryperfect.cli import (
     render_json,
     squarefree_sieve,
 )
-from unaryperfect.quadfield import is_squarefree
+from unaryperfect.family import classify
+from unaryperfect.quadfield import FieldDesc, is_squarefree
+from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import WalkError
 
 
@@ -78,6 +81,43 @@ def test_csv_round_trip():
     # half-integer unit coordinates survive the trip
     row = text.splitlines()[2]
     assert row == "5,1,T3,1/2,1/2,-1,1,true"
+
+
+def _digits_value(text):
+    """int(text), read in chunks below the digit limit of int()."""
+    n = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_units_past_the_str_digit_limit_render(capsys):
+    # the unit of d = 100000231 has 10,883 digits; its walk is out of
+    # reach, so the record is built by hand around the unit
+    field = FieldDesc(100000231)
+    unit = fundamental_unit(field)
+    dclass = classify(field, unit)
+    alpha, beta = unit.value.a, unit.value.b
+    record = ScanRecord(
+        d=field.d,
+        n_classes=0,
+        dclass=dclass,
+        unit_alpha=alpha,
+        unit_beta=beta,
+        norm_sign=unit.norm_sign,
+        classes=(),
+        predicted=dclass.predicted_class_count,
+        agree=None,
+    )
+    assert beta.denominator == 1 and beta.numerator > 10**4300
+    row = render_csv([record]).splitlines()[1].split(",")
+    assert [_digits_value(t) for t in row[3:5]] == [alpha, beta]
+    obj = json.loads(render_json([record]))[0]
+    assert [_digits_value(obj[k]) for k in ("alpha", "beta")] == [alpha, beta]
+    cli._print_record(record)
+    out = capsys.readouterr().out
+    assert f"fundamental unit: {row[3]} + {row[4]}*sqrt(100000231)  (norm +1)" in out
 
 
 def test_parse_csv_rejects_garbage():
@@ -270,6 +310,8 @@ def test_oracle_command(capsys):
     assert "(3, -1)  =  3 - sqrt(7)" in out
     assert main(["oracle", "7", "1/2", "5/28", "--box", "9"]) == 0
     assert "minimum: 1" in capsys.readouterr().out
+    assert main(["oracle", "7", "1/2", "5/28", "--box", "0"]) == 2
+    assert "empty search box" in capsys.readouterr().err
     assert main(["oracle", "12", "1", "0"]) == 2
 
 

@@ -12,6 +12,7 @@ from unaryperfect.quadfield import (
     FieldElem,
     PrimitivePair,
     QuadFieldError,
+    fraction_str,
     is_squarefree,
     primitive_normalize,
     slope,
@@ -240,3 +241,11 @@ def test_rendering():
     assert str(F.element(0, 5)) == "5*sqrt(7)"
     assert str(FieldDesc(5).element(Fraction(1, 2), Fraction(-1, 2))) == "1/2 - 1/2*sqrt(5)"
     assert repr(F.element(2, -1)) == "FieldElem(7: 2 - sqrt(7))"
+
+
+@given(st.fractions(), st.integers(-10**60, 10**60), st.integers(1, 10**60))
+def test_fraction_str_matches_str(x, num, den):
+    # the same text as str() wherever str() works
+    assert fraction_str(x) == str(x)
+    assert fraction_str(Fraction(num, den)) == str(Fraction(num, den))
+    assert fraction_str(num) == str(num)

@@ -1,23 +1,22 @@
 """Gauss reduction and trace-form minima, cross-checked two ways."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import trace_form
 from unaryperfect.quadfield import FieldDesc, is_squarefree
 from unaryperfect.traceform import (
-    BinaryQF,
     NotPositiveDefiniteError,
-    UnimodularMap,
     brute_force_min,
     certified_box,
-    gauss_reduce,
     min_data,
-    trace_form,
+    _reduce_ints,
     _round_nearest_even,
+    _scaled_form,
     _trace_form_ints,
 )
 
@@ -39,23 +38,31 @@ def totally_positive(draw):
 
 @st.composite
 def definite_forms(draw):
-    A = draw(st.integers(1, 40))
-    C = draw(st.integers(1, 40))
-    B = draw(st.integers(-80, 80))
+    A = draw(st.integers(1, 240))
+    C = draw(st.integers(1, 240))
+    B = draw(st.integers(-480, 480))
     assume(4 * A * C > B * B)
-    den = draw(st.integers(1, 6))
-    return BinaryQF(Fraction(A, den), Fraction(B, den), Fraction(C, den))
+    return A, B, C
+
+
+def _value(form, u, v):
+    A, B, C = form
+    return A * u * u + B * u * v + C * v * v
 
 
 def test_trace_form_frozen():
     F7 = FieldDesc(7)
     a1 = F7.element(Fraction(1, 2), Fraction(5, 28))
-    assert trace_form(a1) == BinaryQF(1, 5, 7)
-    assert trace_form(F7.element(14, 5)) == BinaryQF(28, 140, 196)
+    assert trace_form(a1) == (1, 5, 7)
+    assert _scaled_form(a1) == (28, 140, 196, 28)
+    assert trace_form(F7.element(14, 5)) == (28, 140, 196)
     F5 = FieldDesc(5)
-    assert trace_form(F5.element(Fraction(3, 2), Fraction(1, 2))) == BinaryQF(3, 8, 7)
+    half = F5.element(Fraction(3, 2), Fraction(1, 2))
+    assert trace_form(half) == (3, 8, 7)
+    assert _scaled_form(half) == (6, 16, 14, 2)
     F1007 = FieldDesc(1007)
-    assert trace_form(F1007.element(476, 15)) == BinaryQF(952, 60420, 958664)
+    assert trace_form(F1007.element(476, 15)) == (952, 60420, 958664)
+    assert _scaled_form(F1007.element(476, 15)) == (952, 60420, 958664, 1)
 
 
 @given(fields, st.integers(1, 300), st.integers(-60, 60))
@@ -63,7 +70,14 @@ def test_integer_kernel_matches_trace_form(field, p, q):
     x = field.element(p, q)
     assume(x.is_totally_positive())
     A, B, C = _trace_form_ints(field.d, field.half_basis, p, q)
-    assert trace_form(x) == BinaryQF(A, B, C)
+    assert trace_form(x) == (A, B, C)
+
+
+@given(totally_positive())
+def test_scaled_form_matches_trace_form(x):
+    A, B, C, L = _scaled_form(x)
+    assert L == lcm(x.a.denominator, x.b.denominator)
+    assert (A, B, C) == tuple(L * c for c in trace_form(x))
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
@@ -71,45 +85,41 @@ def test_round_nearest_even_oracle(num, den):
     assert _round_nearest_even(num, den) == round(Fraction(num, den))
 
 
-def test_binary_qf_rejects_indefinite():
-    for A, B, C in [(-1, 0, 1), (0, 0, 1), (1, 3, 1), (1, 2, 1)]:
-        with pytest.raises(NotPositiveDefiniteError):
-            BinaryQF(A, B, C)
-
-
 def test_trace_form_needs_totally_positive():
     F2 = FieldDesc(2)
-    with pytest.raises(NotPositiveDefiniteError):
-        trace_form(F2.element(1, -1))  # 1 - sqrt(2) < 0
-    with pytest.raises(NotPositiveDefiniteError):
-        trace_form(F2.element(0))
+    # 1 - sqrt(2) < 0 under the real embedding; 0; -1/2
+    for x in (F2.element(1, -1), F2.element(0), F2.element(Fraction(-1, 2))):
+        for fn in (trace_form, _scaled_form, min_data, certified_box, brute_force_min):
+            with pytest.raises(NotPositiveDefiniteError):
+                fn(x)
 
 
 def test_gauss_reduce_frozen():
-    reduced, u = gauss_reduce(BinaryQF(1, 5, 7))
-    assert reduced == BinaryQF(1, 1, 1)
-    assert (u.u00, u.u01, u.u10, u.u11) == (1, -2, 0, 1)
+    reduced, change = _reduce_ints(1, 5, 7)
+    assert reduced == (1, 1, 1)
+    assert change == (1, -2, 0, 1)
 
-    reduced, _ = gauss_reduce(BinaryQF(952, 60420, 958664))
-    assert reduced.A == 72
-    reduced, _ = gauss_reduce(BinaryQF(476, 30210, 479332))
-    assert reduced.A == 36
+    reduced, _ = _reduce_ints(952, 60420, 958664)
+    assert reduced[0] == 72
+    reduced, _ = _reduce_ints(476, 30210, 479332)
+    assert reduced[0] == 36
 
 
 @given(definite_forms(), st.integers(-5, 5), st.integers(-5, 5))
 def test_gauss_reduce_invariants(form, u, v):
-    reduced, change = gauss_reduce(form)
-    assert reduced.is_reduced()
-    assert reduced.disc() == form.disc()
-    assert change.det() in (1, -1)
-    assert form.value(*change.apply(u, v)) == reduced.value(u, v)
+    reduced, (u00, u01, u10, u11) = _reduce_ints(*form)
+    A, B, C = reduced
+    assert abs(B) <= A <= C
+    assert 4 * A * C - B * B == 4 * form[0] * form[2] - form[1] ** 2
+    assert u00 * u11 - u01 * u10 in (1, -1)
+    assert _value(form, u00 * u + u01 * v, u10 * u + u11 * v) == _value(reduced, u, v)
 
 
 @given(definite_forms())
 def test_reduced_A_is_the_minimum(form):
-    reduced, change = gauss_reduce(form)
+    reduced, change = _reduce_ints(*form)
     best = min(
-        form.value(u, v)
+        _value(form, u, v)
         for u in range(-12, 13)
         for v in range(0, 13)
         if (u, v) != (0, 0) and not (v == 0 and u < 0)
@@ -117,10 +127,9 @@ def test_reduced_A_is_the_minimum(form):
     # A is attained by an actual lattice vector, so it never beats the
     # box minimum; the box provably catches a minimal vector whenever the
     # basis change is small, and then the two agree
-    assert reduced.A <= best
-    entries = (change.u00, change.u01, change.u10, change.u11)
-    if all(abs(e) <= 6 for e in entries):
-        assert reduced.A == best
+    assert reduced[0] <= best
+    if all(abs(e) <= 6 for e in change):
+        assert reduced[0] == best
 
 
 def test_min_data_frozen():
@@ -170,10 +179,3 @@ def test_explicit_box_override():
     F7 = FieldDesc(7)
     a1 = F7.element(Fraction(1, 2), Fraction(5, 28))
     assert brute_force_min(a1, (9, 9)) == brute_force_min(a1)
-
-
-def test_unimodular_map_basics():
-    u = UnimodularMap(1, -2, 0, 1)
-    assert u.det() == 1
-    assert u.apply(0, 1) == (-2, 1)
-    assert u.apply(1, 0) == (1, 0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SearchExhaustedError, unit_brute_oracle
 from unaryperfect import units
 from unaryperfect.cli import squarefree_sieve
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
@@ -17,11 +18,9 @@ from unaryperfect.units import (
     CFExpansion,
     FundamentalUnit,
     PeriodError,
-    SearchExhaustedError,
     SizeLimitError,
     cf_sqrt,
     fundamental_unit,
-    unit_brute_oracle,
     unit_square,
     _period,
 )
