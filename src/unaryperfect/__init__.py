@@ -42,11 +42,9 @@ from .traceform import (
     min_data,
 )
 from .units import (
-    CFExpansion,
     FundamentalUnit,
     PeriodError,
     SizeLimitError,
-    cf_sqrt,
     fundamental_unit,
     unit_square,
 )
@@ -55,16 +53,12 @@ from .voronoi import (
     WalkError,
     WalkResult,
     classes_equal,
-    initial_perfect,
-    is_perfect,
-    neighbor_step,
     walk_classes,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CFExpansion",
     "DClass",
     "FamilyParams",
     "FamilyScan",
@@ -87,7 +81,6 @@ __all__ = [
     "WalkResult",
     "brute_force_min",
     "candidate_params",
-    "cf_sqrt",
     "classes_equal",
     "classify",
     "classify_T",
@@ -96,11 +89,8 @@ __all__ = [
     "construct_a3",
     "fundamental_unit",
     "generate_family",
-    "initial_perfect",
-    "is_perfect",
     "is_squarefree",
     "min_data",
-    "neighbor_step",
     "nr_decompose",
     "predicted_a3_minimum",
     "predicted_minimal_set",

@@ -2,9 +2,11 @@
 
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
 input, or a size limit overrun (a step cap of the continued fraction or
-the walk); 3 internal failure.  Scan output is deterministic: records are
-emitted in ascending d and all vector lists are sorted, so reruns and
-different worker counts produce identical bytes.
+the walk); 3 internal failure; 141 stdout was closed by its reader
+(128 + SIGPIPE, as a shell reports a filter killed by that signal).
+Scan output is deterministic: records are emitted in ascending d and
+all vector lists are sorted, so reruns and different worker counts
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from pathlib import Path
 
 from .family import (
     DClass,
-    HypothesisError,
-    InvariantError,
     classify,
     construct_a1_a2,
     construct_a3,
@@ -31,10 +31,10 @@ from .family import (
     predicted_a3_minimum,
     predicted_minimal_set,
 )
-from .quadfield import FieldDesc, QuadFieldError, fraction_str
-from .traceform import ReductionCapError, brute_force_min, min_data
-from .units import PeriodError, SizeLimitError
-from .voronoi import PerfectForm, WalkError, classes_equal, walk_classes
+from .quadfield import FieldDesc, fraction_str
+from .traceform import brute_force_min, min_data
+from .units import SizeLimitError
+from .voronoi import PerfectForm, classes_equal, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
 
@@ -131,42 +131,6 @@ def render_csv(records: list[ScanRecord]) -> str:
     return buf.getvalue()
 
 
-def csv_projection(r: ScanRecord) -> tuple:
-    """The fields a CSV row carries; parse_csv returns these."""
-    return (
-        r.d,
-        r.n_classes,
-        r.dclass.tag,
-        r.unit_alpha,
-        r.unit_beta,
-        r.norm_sign,
-        r.predicted,
-        r.agree,
-    )
-
-
-def parse_csv(text: str) -> list[tuple]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValueError("missing or wrong CSV header")
-    out = []
-    for row in rows[1:]:
-        d, nk, tag, alpha, beta, norm, predicted, agree = row
-        out.append(
-            (
-                int(d),
-                int(nk),
-                tag,
-                Fraction(alpha),
-                Fraction(beta),
-                int(norm),
-                int(predicted) if predicted else None,
-                {"true": True, "false": False, "": None}[agree],
-            )
-        )
-    return out
-
-
 def record_to_dict(r: ScanRecord) -> dict:
     return {
         "d": r.d,
@@ -191,33 +155,8 @@ def record_to_dict(r: ScanRecord) -> dict:
     }
 
 
-def record_from_dict(obj: dict) -> ScanRecord:
-    return ScanRecord(
-        d=obj["d"],
-        n_classes=obj["nK"],
-        dclass=DClass(obj["tag"], obj["m"], obj["k"], obj["delta"]),
-        unit_alpha=Fraction(obj["alpha"]),
-        unit_beta=Fraction(obj["beta"]),
-        norm_sign=obj["norm"],
-        classes=tuple(
-            ClassSummary(
-                tuple(c["pair"]),
-                c["mu"],
-                tuple(tuple(v) for v in c["min_vectors"]),
-            )
-            for c in obj["classes"]
-        ),
-        predicted=obj["predicted_nK"],
-        agree=obj["agree"],
-    )
-
-
 def render_json(records: list[ScanRecord]) -> str:
     return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
-
-
-def parse_json(text: str) -> list[ScanRecord]:
-    return [record_from_dict(obj) for obj in json.loads(text)]
 
 
 # -- commands --------------------------------------------------------------
@@ -423,19 +362,26 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # a closed stdout is not bad input; run() handles it
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except (QuadFieldError, HypothesisError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WalkError, ReductionCapError, PeriodError, InvariantError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
-    except Exception as exc:  # pragma: no cover - last resort
+    except Exception as exc:  # WalkError, PeriodError and the like, or a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # that the flush at exit cannot fail again, and report SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)

@@ -5,7 +5,7 @@ xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
 Galois's theorem its expansion [b_1, ..., b_L] is purely periodic.
 Writing xi_j = (P_j + sqrt(d))/Q_j, one exact integer recurrence
 P_{j+1} = b_j*Q_j - P_j, Q_{j+1} = (d - P_{j+1}^2)/Q_j carries the
-period; `cf_sqrt` runs it until (P, Q) returns.
+period; `_period` runs it until (P, Q) returns.
 
 The fundamental unit of Z[xi] is q_{L-1}*xi + q_L - a0*q_{L-1}, where
 q_{-1} = 0, q_0 = 1, q_j = b_j*q_{j-1} + q_{j-2} are the convergent
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
-from .quadfield import FieldDesc, FieldElem, QuadFieldError
+from .quadfield import FieldDesc, FieldElem
 
 _STEP_CAP = 10**6
 
@@ -44,15 +44,6 @@ class PeriodError(RuntimeError):
 
 class SizeLimitError(RuntimeError):
     """A step cap was overrun: the input is too large, not wrong."""
-
-
-@dataclass(frozen=True, slots=True)
-class CFExpansion:
-    """sqrt(d) = [a0; period repeated], exact."""
-
-    d: int
-    a0: int
-    period: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,17 +70,6 @@ def _period(d: int, P: int, Q: int) -> Iterator[tuple[int, int, int]]:
         if P == P1 and Q == Q1:
             return
     raise SizeLimitError(f"no period within {_STEP_CAP} steps for d={d}")
-
-
-def cf_sqrt(d: int) -> CFExpansion:
-    """Continued fraction of sqrt(d); the period closes with 2*a0."""
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise QuadFieldError(f"{d} is a perfect square")
-    period = tuple(a for a, _, _ in _period(d, a0, d - a0 * a0))
-    if period[-1] != 2 * a0:
-        raise PeriodError(f"period of sqrt({d}) did not close on 2*a0")
-    return CFExpansion(d, a0, period)
 
 
 def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:

@@ -29,7 +29,6 @@ from .traceform import (
     _reduce_ints,
     _trace_form_ints,
     _vector_set,
-    min_data,
 )
 from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
 
@@ -43,13 +42,10 @@ class WalkError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SupportLine:
-    """Value of the pencil 1 + s*sqrt(d) on one vector, as a line in s."""
+    """Value of the pencil 1 + s*sqrt(d) on one vector: intercept + s*slope_coef."""
 
     intercept: int
     slope_coef: int
-
-    def value_at(self, s: Fraction) -> Fraction:
-        return self.intercept + s * self.slope_coef
 
 
 def _line_of_basis_vec(d: int, half: bool, u: int, v: int) -> tuple[int, int]:
@@ -90,14 +86,6 @@ class PerfectForm:
     min_vectors: frozenset[FieldElem]
 
 
-def vertex_at(field: FieldDesc, pair: PrimitivePair) -> PerfectForm:
-    """The perfect form on the ray of pair; raises if the ray is not perfect."""
-    v = _make_vertex(field, pair.p, pair.q)
-    if len(v.min_vectors) < 4:
-        raise WalkError(f"ray {pair} carries only one support line")
-    return v
-
-
 def _make_vertex(field: FieldDesc, p: int, q: int) -> PerfectForm:
     m, coords, _ = _pair_data(field.d, field.half_basis, p, q)
     return PerfectForm(
@@ -107,11 +95,6 @@ def _make_vertex(field: FieldDesc, p: int, q: int) -> PerfectForm:
         mu=m,
         min_vectors=_vector_set(field, coords),
     )
-
-
-def is_perfect(x: FieldElem) -> bool:
-    """Whether x's minimum is attained on at least two lines; scale invariant."""
-    return len(min_data(x).vectors) >= 4
 
 
 def _below_boundary(d: int, denom: int) -> Fraction:

@@ -29,7 +29,6 @@ from unaryperfect.traceform import _reduce_ints, _scaled_form, brute_force_min, 
 from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import (
     classes_equal,
-    is_perfect,
     neighbor_step,
     walk_classes,
     _rightward_line,
@@ -299,7 +298,8 @@ def test_criterion_7_invariance_and_symmetry():
         scaled = min_data(lam * x)
         assert scaled.mu == lam * base.mu
         assert scaled.vectors == base.vectors
-        assert is_perfect(lam * x) == is_perfect(x)
+        # perfect: the minimum is attained on at least two +- pairs
+        assert (len(scaled.vectors) >= 4) == (len(base.vectors) >= 4)
 
         eps2 = _walk(d).eps2
         shifted = min_data(x * eps2)
@@ -307,7 +307,7 @@ def test_criterion_7_invariance_and_symmetry():
         # z attains the minimum of x*eps^2 exactly when eps*z attains it for x
         inv = fundamental_unit(field).value.inverse()
         assert shifted.vectors == frozenset(y * inv for y in base.vectors)
-        assert is_perfect(x * eps2) == is_perfect(x)
+        assert (len(shifted.vectors) >= 4) == (len(base.vectors) >= 4)
         done += 1
 
     sample = squarefree_sieve(2, 3000)[::25] + [223, 799, 1007]

@@ -3,7 +3,6 @@
 import unaryperfect
 
 PUBLIC = [
-    "CFExpansion",
     "DClass",
     "FamilyParams",
     "FamilyScan",
@@ -26,7 +25,6 @@ PUBLIC = [
     "WalkResult",
     "brute_force_min",
     "candidate_params",
-    "cf_sqrt",
     "classes_equal",
     "classify",
     "classify_T",
@@ -35,11 +33,8 @@ PUBLIC = [
     "construct_a3",
     "fundamental_unit",
     "generate_family",
-    "initial_perfect",
-    "is_perfect",
     "is_squarefree",
     "min_data",
-    "neighbor_step",
     "nr_decompose",
     "predicted_a3_minimum",
     "predicted_minimal_set",

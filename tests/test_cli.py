@@ -2,10 +2,13 @@
 deterministic scans."""
 
 import concurrent.futures
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,10 +18,7 @@ from unaryperfect import units, voronoi
 from unaryperfect.cli import (
     ScanRecord,
     build_record,
-    csv_projection,
     main,
-    parse_csv,
-    parse_json,
     render_csv,
     render_json,
     squarefree_sieve,
@@ -73,14 +73,31 @@ def test_record_vectors_are_sorted_and_signed():
 SAMPLE_DS = [2, 5, 7, 13, 223, 1007]
 
 
+SAMPLE_CSV = (
+    "d,nK,tag,alpha,beta,norm,predicted_nK,agree\n"
+    "2,1,T1,1,1,-1,1,true\n"
+    "5,1,T3,1/2,1/2,-1,1,true\n"
+    "7,2,UNCLASSIFIED,8,3,1,,\n"
+    "13,1,T3,3/2,1/2,-1,1,true\n"
+    "223,2,RD2,224,15,1,2,true\n"
+    "1007,3,FAM3,476,15,1,3,true\n"
+)
+
+
+def _csv_rows(text):
+    """Data rows of scan CSV output, as lists of cells; checks the header."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows[0] == list(cli.CSV_COLUMNS)
+    return rows[1:]
+
+
 def test_csv_round_trip():
     records = [build_record(d) for d in SAMPLE_DS]
     text = render_csv(records)
-    assert text.splitlines()[0] == "d,nK,tag,alpha,beta,norm,predicted_nK,agree"
-    assert parse_csv(text) == [csv_projection(r) for r in records]
-    # half-integer unit coordinates survive the trip
-    row = text.splitlines()[2]
-    assert row == "5,1,T3,1/2,1/2,-1,1,true"
+    assert text == SAMPLE_CSV
+    # the unit cells read back exactly, half-integers included
+    for r, row in zip(records, _csv_rows(text), strict=True):
+        assert (Fraction(row[3]), Fraction(row[4])) == (r.unit_alpha, r.unit_beta)
 
 
 def _digits_value(text):
@@ -120,16 +137,20 @@ def test_units_past_the_str_digit_limit_render(capsys):
     assert f"fundamental unit: {row[3]} + {row[4]}*sqrt(100000231)  (norm +1)" in out
 
 
-def test_parse_csv_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_csv("")
-    with pytest.raises(ValueError):
-        parse_csv("a,b,c\n1,2,3\n")
-
-
 def test_json_round_trip_is_exact():
     records = [build_record(d) for d in SAMPLE_DS]
-    assert parse_json(render_json(records)) == records
+    for r, obj in zip(records, json.loads(render_json(records)), strict=True):
+        assert (obj["d"], obj["nK"], obj["norm"]) == (r.d, r.n_classes, r.norm_sign)
+        assert (obj["tag"], obj["m"], obj["k"], obj["delta"]) == (
+            r.dclass.tag, r.dclass.m, r.dclass.k, r.dclass.delta,
+        )
+        assert (Fraction(obj["alpha"]), Fraction(obj["beta"])) == (r.unit_alpha, r.unit_beta)
+        assert (obj["predicted_nK"], obj["agree"]) == (r.predicted, r.agree)
+        classes = [
+            (tuple(c["pair"]), c["mu"], tuple(tuple(v) for v in c["min_vectors"]))
+            for c in obj["classes"]
+        ]
+        assert classes == [(c.pair, c.mu, c.min_vectors) for c in r.classes]
 
 
 def test_analyze_exit_codes(capsys):
@@ -189,19 +210,42 @@ def test_failed_norm_square_is_exit_3(monkeypatch, capsys):
     assert "internal error:" in capsys.readouterr().err
 
 
+def _package_env():
+    """os.environ with this package's source on PYTHONPATH, for subprocesses."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_cli_does_not_load_multiprocessing():
     code = (
         "import sys, unaryperfect.cli as cli\n"
         "assert cli.main(['analyze', '7']) == 0\n"
         "print('multiprocessing' in sys.modules)\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=_package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the reader goes away before the report is written, as with `| head -0`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unaryperfect", "analyze", "1007"],
+        env=_package_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_usage_errors():
@@ -217,25 +261,23 @@ def test_scan_csv_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "scanned 30 fields" in err
     assert "disagreements: 0" in err
-    rows = parse_csv(out.read_text())
-    assert [row[0] for row in rows] == squarefree_sieve(2, 50)
-    assert all(row[7] in (True, None) for row in rows)
+    rows = _csv_rows(out.read_text())
+    assert [int(row[0]) for row in rows] == squarefree_sieve(2, 50)
+    assert all(row[7] in ("true", "") for row in rows)
 
 
 def test_scan_mod4_filter(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "2", "60", "--mod4", "2,3", "--out", str(out)]) == 0
-    rows = parse_csv(out.read_text())
+    rows = _csv_rows(out.read_text())
     assert rows
-    assert all(row[0] % 4 in (2, 3) for row in rows)
+    assert all(int(row[0]) % 4 in (2, 3) for row in rows)
 
 
 def test_scan_json_format(tmp_path):
     out = tmp_path / "scan.json"
     assert main(["scan", "2", "30", "--format", "json", "--out", str(out)]) == 0
-    records = parse_json(out.read_text())
-    assert [r.d for r in records] == squarefree_sieve(2, 30)
-    assert records == [build_record(r.d) for r in records]
+    assert out.read_text() == render_json([build_record(d) for d in squarefree_sieve(2, 30)])
 
 
 def test_scan_is_deterministic_across_workers(tmp_path):

@@ -15,11 +15,9 @@ from unaryperfect import units
 from unaryperfect.cli import squarefree_sieve
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
 from unaryperfect.units import (
-    CFExpansion,
     FundamentalUnit,
     PeriodError,
     SizeLimitError,
-    cf_sqrt,
     fundamental_unit,
     unit_square,
     _period,
@@ -70,30 +68,36 @@ UNIT_TABLE = {
 }
 
 
+def cf_sqrt(d):
+    """(a0, period) of sqrt(d), from the recurrence that fundamental_unit runs."""
+    a0 = isqrt(d)
+    return a0, tuple(a for a, _, _ in _period(d, a0, d - a0 * a0))
+
+
 @pytest.mark.parametrize("d,expected", sorted(CF_TABLE.items()))
 def test_cf_sqrt_frozen(d, expected):
-    got = cf_sqrt(d)
-    assert (got.a0, got.period) == expected
-    assert got.d == d
+    assert cf_sqrt(d) == expected
 
 
 def test_cf_sqrt_accepts_nonsquarefree():
-    assert cf_sqrt(8) == CFExpansion(8, 2, (1, 4))
+    # _period needs only Q > 0 dividing d - P^2, not a squarefree d
+    assert cf_sqrt(8) == (2, (1, 4))
 
 
 @pytest.mark.parametrize("square", [1, 4, 9, 49, 10**6])
 def test_cf_sqrt_rejects_perfect_squares(square):
+    # sqrt(d) of a square has no period (Q would start at 0); the units
+    # layer takes a FieldDesc, which never carries a square
     with pytest.raises(QuadFieldError):
-        cf_sqrt(square)
+        fundamental_unit(FieldDesc(square))
 
 
 @pytest.mark.parametrize("d", [d for d in range(2, 500) if isqrt(d) ** 2 != d])
 def test_cf_structure(d):
-    exp = cf_sqrt(d)
-    assert exp.a0 == isqrt(d)
-    assert all(a >= 1 for a in exp.period)
-    assert exp.period[-1] == 2 * exp.a0
-    body = exp.period[:-1]
+    a0, period = cf_sqrt(d)
+    assert all(a >= 1 for a in period)
+    assert period[-1] == 2 * a0
+    body = period[:-1]
     assert body == body[::-1]  # classical palindrome
 
 
@@ -127,7 +131,7 @@ def test_oracle_agrees_for_small_fields(d):
 def test_norm_sign_is_period_parity(d):
     # for Z[sqrt(d)] the unit comes from the sqrt(d) expansion directly,
     # so its norm is (-1)^(period length)
-    parity = -1 if len(cf_sqrt(d).period) % 2 else 1
+    parity = -1 if len(cf_sqrt(d)[1]) % 2 else 1
     assert fundamental_unit(FieldDesc(d)).norm_sign == parity
 
 
@@ -147,8 +151,7 @@ def _stabilizer(a0, period):
 @given(st.sampled_from(SQUAREFREE))
 @settings(max_examples=60)
 def test_stabilizer_fixes_sqrt(d):
-    exp = cf_sqrt(d)
-    A, B, C, D = _stabilizer(exp.a0, exp.period)
+    A, B, C, D = _stabilizer(*cf_sqrt(d))
     # (A*x + B)/(C*x + D) = x for x = sqrt(d) means B = C*d and A = D
     assert A == D and B == C * d
     assert abs(A * D - B * C) == 1

@@ -21,10 +21,8 @@ from unaryperfect.voronoi import (
     WalkError,
     classes_equal,
     initial_perfect,
-    is_perfect,
     neighbor_step,
     support_line,
-    vertex_at,
     walk_classes,
     _below_boundary,
     _rightward_line,
@@ -60,7 +58,8 @@ def test_support_line_evaluates_the_pencil(field, u, v, s):
     y = field.from_basis_coords(u, v)
     pencil = field.element(1) + field.sqrt_d() * s
     expected = (pencil * y * y).trace()
-    assert support_line(y).value_at(s) == expected
+    line = support_line(y)
+    assert line.intercept + s * line.slope_coef == expected
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(3, 4000))
@@ -175,22 +174,28 @@ def test_walk_respects_conjugation(d):
         )
 
 
+def _is_perfect(x):
+    """Whether x's minimum is attained on at least two +- pairs."""
+    return len(min_data(x).vectors) >= 4
+
+
 def test_is_perfect():
     F7 = FieldDesc(7)
     a1 = F7.element(Fraction(1, 2), Fraction(5, 28))
-    assert is_perfect(a1)
-    assert not is_perfect(F7.one())
-    assert is_perfect(a1 * Fraction(3, 7))
+    assert _is_perfect(a1)
+    assert not _is_perfect(F7.one())
+    assert _is_perfect(a1 * Fraction(3, 7))
     eps2 = F7.element(8, 3) ** 2
-    assert is_perfect(a1 * eps2)
+    assert _is_perfect(a1 * eps2)
 
 
 def test_vertex_at():
+    # the walk's vertex on the ray of 14 + 5*sqrt(7), and a ray that is no vertex
     F7 = FieldDesc(7)
-    v = vertex_at(F7, PrimitivePair(14, 5))
+    (v,) = [c for c in walk_classes(F7).classes if c.pair == PrimitivePair(14, 5)]
     assert v.mu == 28
-    with pytest.raises(WalkError):
-        vertex_at(F7, PrimitivePair(3, 1))  # minimum on a single line
+    assert v.min_vectors == min_data(F7.element(14, 5)).vectors
+    assert not _is_perfect(F7.element(3, 1))  # minimum on a single line
 
 
 def test_classes_equal():
