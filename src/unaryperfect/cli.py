@@ -155,8 +155,30 @@ def record_to_dict(r: ScanRecord) -> dict:
     }
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), with ints past int's str() digit limit.
+
+    Class pairs, minima and vectors are ints that json would convert with
+    that limit; they go through fraction_str instead.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, list):
+        brackets = "[]"
+        items = [inner + _json_text(v, inner) for v in value]
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return fraction_str(value)
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def render_json(records: list[ScanRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=2) + "\n"
+    return _json_text([record_to_dict(r) for r in records]) + "\n"
 
 
 # -- commands --------------------------------------------------------------
@@ -179,8 +201,9 @@ def _print_record(record: ScanRecord) -> None:
     for i, c in enumerate(record.classes, 1):
         p, q = c.pair
         print(
-            f"  class {i}: pair ({p}, {q}), slope {Fraction(q, p)}, "
-            f"minimum {c.mu}, vectors {_render_pm_vectors(c, field)}"
+            f"  class {i}: pair ({fraction_str(p)}, {fraction_str(q)}), "
+            f"slope {fraction_str(Fraction(q, p))}, minimum {fraction_str(c.mu)}, "
+            f"vectors {_render_pm_vectors(c, field)}"
         )
     params = ""
     if record.dclass.m is not None:
@@ -196,10 +219,28 @@ def _print_record(record: ScanRecord) -> None:
         print(f"predicted classes: {record.predicted}  [{verdict}]")
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full.
+
+    Unbuffered stdout (python -u, PYTHONUNBUFFERED) hands a write to the
+    raw file, which takes only part of it if the reader leaves midway,
+    and TextIOWrapper drops the rest unreported.  Writing the rest until
+    every byte is out reaches the BrokenPipeError instead.
+    """
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stand-in such as io.StringIO takes it whole
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[out.write(data) :]
+
+
 def cmd_analyze(args) -> int:
     record = build_record(args.d)
     if args.json:
-        sys.stdout.write(json.dumps(record_to_dict(record), indent=2) + "\n")
+        _write_stdout(_json_text(record_to_dict(record)) + "\n")
     else:
         _print_record(record)
     return 1 if record.agree is False else 0
@@ -231,7 +272,7 @@ def cmd_scan(args) -> int:
     if args.out:
         Path(args.out).write_text(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     counts = dict(sorted(Counter(r.n_classes for r in records).items()))
     bad = [r.d for r in records if r.agree is False]
     print(

@@ -25,12 +25,13 @@ class QuadFieldError(ValueError):
     """Domain error in field construction or element use."""
 
 
-def fraction_str(x: Fraction) -> str:
+def fraction_str(x: Fraction | int) -> str:
     """str(x), also past the digit limit that int's str() enforces.
 
-    Units of large fields have coordinates of tens of thousands of digits.
-    decimal converts ints to text without that limit, so the process-wide
-    setting is left alone.
+    Units of large fields have coordinates of tens of thousands of digits,
+    and the class pairs, minima and vectors of such fields can pass the
+    limit too.  decimal converts ints to text without that limit, so the
+    process-wide setting is left alone.
     """
     num = str(decimal.Decimal(x.numerator))
     if x.denominator == 1:

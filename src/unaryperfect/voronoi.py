@@ -8,13 +8,21 @@ vertices are exactly the perfect rays.  Multiplication by the squared
 fundamental unit shifts slopes strictly rightward and permutes vertices,
 so walking vertex to vertex until the start reappears translated lists
 every class once; the vertex count of one period is the class count.
+
+The pairs grow to hundreds of bits along a period, and a search that
+starts from scratch costs rounds in proportion to their bit length.  A
+step avoids that twice, so its cost does not grow along the period: its
+opening ceiling comes from a closed-form bound on the gap to 1/sqrt(d),
+and its Gauss reductions start warm, the first from a basis through the
+active line's vector and each later one from the reduced basis of the
+trial before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .quadfield import (
     FieldDesc,
@@ -61,18 +69,32 @@ def support_line(y: FieldElem) -> SupportLine:
     )
 
 
-def _pair_data(d: int, half: bool, p: int, q: int):
-    """Minimum, minimal vectors, and support lines of p + q*sqrt(d).
+def _pair_data(d: int, half: bool, p: int, q: int, start: tuple[int, int, int, int]):
+    """Minimum, minimal vectors, support lines and reduced basis of p + q*sqrt(d).
 
-    Vectors come back in basis coordinates, one per +-pair; opposite
+    The trace form is first written over the unimodular basis `start`
+    (columns in basis coordinates) and reduced from there; the returned
+    basis is the composed change, reduced basis over {1, omega}.  A start
+    near the reduced basis of a nearby slope cuts the Gauss steps from
+    about the bit length of p to a handful; any unimodular start spans
+    the same lattice, so the minimum, vectors and lines do not depend on
+    it.  Vectors come back in basis coordinates, one per +-pair; opposite
     vectors share a line, and distinct ones never do, so the line set
     sizes the vector set up to sign.
     """
-    triple, change = _reduce_ints(*_trace_form_ints(d, half, p, q))
+    A, B, C = _trace_form_ints(d, half, p, q)
+    m00, m01, m10, m11 = start
+    triple, (u00, u01, u10, u11) = _reduce_ints(
+        A * m00 * m00 + B * m00 * m10 + C * m10 * m10,
+        2 * A * m00 * m01 + B * (m00 * m11 + m01 * m10) + 2 * C * m10 * m11,
+        A * m01 * m01 + B * m01 * m11 + C * m11 * m11,
+    )
+    r00, r01 = m00 * u00 + m01 * u10, m00 * u01 + m01 * u11
+    r10, r11 = m10 * u00 + m11 * u10, m10 * u01 + m11 * u11
     m, vecs = _min_vectors_ints(*triple)
-    u00, u01, u10, u11 = change
-    coords = [(u00 * u + u01 * v, u10 * u + u11 * v) for u, v in vecs]
-    return m, coords, {_line_of_basis_vec(d, half, u, v) for u, v in coords}
+    coords = [(r00 * u + r01 * v, r10 * u + r11 * v) for u, v in vecs]
+    lines = {_line_of_basis_vec(d, half, u, v) for u, v in coords}
+    return m, coords, lines, (r00, r01, r10, r11)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,13 +108,12 @@ class PerfectForm:
     min_vectors: frozenset[FieldElem]
 
 
-def _make_vertex(field: FieldDesc, p: int, q: int) -> PerfectForm:
-    m, coords, _ = _pair_data(field.d, field.half_basis, p, q)
+def _make_vertex(field: FieldDesc, s: Fraction, mu: int, coords) -> PerfectForm:
     return PerfectForm(
-        form=field.element(p, q),
-        pair=PrimitivePair(p, q),
-        s=Fraction(q, p),
-        mu=m,
+        form=field.element(s.denominator, s.numerator),
+        pair=PrimitivePair(s.denominator, s.numerator),
+        s=s,
+        mu=mu,
         min_vectors=_vector_set(field, coords),
     )
 
@@ -100,6 +121,31 @@ def _make_vertex(field: FieldDesc, p: int, q: int) -> PerfectForm:
 def _below_boundary(d: int, denom: int) -> Fraction:
     """Largest fraction with the given denominator strictly below 1/sqrt(d)."""
     return Fraction(isqrt((denom * denom - 1) // d), denom)
+
+
+def _basis_of_line(d: int, half: bool, line: tuple[int, int]) -> tuple[int, int, int, int]:
+    """A unimodular basis whose first column is the vector, up to sign, of the line.
+
+    Write y = (X0 + X1*sqrt(d))/2.  Its line is ((X0^2 + d*X1^2)/2, d*X0*X1),
+    so X0^2 and d*X1^2 are the two roots of t^2 - T*t + d*P^2 with
+    T = 2*Tr(y^2) and P = X0*X1.  Only one order of the roots makes both a
+    square and d times a square, d being squarefree.  A vector with a
+    support line is minimal somewhere, hence primitive, so a modular
+    inverse gives the second column.
+    """
+    t, prod = 2 * line[0], line[1] // d
+    disc = t * t - 4 * d * prod * prod
+    if t > 0 and disc >= 0:
+        n = isqrt(disc)
+        for a in ((t + n) // 2, (t - n) // 2):
+            x0, x1 = isqrt(a), isqrt((t - a) // d) * (-1 if prod < 0 else 1)
+            u, v = ((x0 - x1) // 2, x1) if half else (x0 // 2, x1 // 2)
+            if gcd(u, v) == 1 and _line_of_basis_vec(d, half, u, v) == line:
+                if v == 0:
+                    return u, 0, 0, u
+                b = pow(u, -1, abs(v))
+                return u, (u * b - 1) // v, v, b
+    raise WalkError(f"no primitive vector has the support line {line}")
 
 
 def neighbor_step(field: FieldDesc, s0: Fraction, active: SupportLine) -> PerfectForm:
@@ -113,20 +159,39 @@ def neighbor_step(field: FieldDesc, s0: Fraction, active: SupportLine) -> Perfec
     pulls back to its last crossing with a current minimal line.  Each
     pullback lands on or right of the sought vertex, so the trial meets
     it exactly, with the active line minimal alongside at least one other.
+
+    The opening ceiling has denominator 4*(p+1)*4^j for s0 = q/p, with
+    the least j that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
+    1/sqrt(d) - s0 = N/(p*sqrt(d)*(p + q*sqrt(d))) exceeds
+    N/(2*p^2*(isqrt(d) + 1)), and a ceiling with denominator D lies
+    within 1/D of 1/sqrt(d).  The first trial's reduction starts from a
+    basis through the active line's vector, which is minimal at s0, and
+    each later one from the reduced basis of the trial before it, so a
+    step costs the same few Gauss steps wherever it lies in the period.
     """
     d, half = field.d, field.half_basis
+    p, q = s0.denominator, s0.numerator
+    norm = p * p - d * q * q
+    if norm <= 0:
+        raise WalkError(f"s = {s0} is not below 1/sqrt({d})")
     akey = (active.intercept, active.slope_coef)
-    denom = 4 * (s0.denominator + 1)
+    base = 4 * (p + 1)
+    # base * r is the least multiple of base above the bound; 4^j >= r
+    r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
+    denom = base << 2 * (((r - 1).bit_length() + 1) // 2)
     upper = _below_boundary(d, denom)
     while upper <= s0:
         denom *= 4
         upper = _below_boundary(d, denom)
     s_t = (s0 + upper) / 2
+    basis = _basis_of_line(d, half, akey)
     for _ in range(_TRIAL_CAP):
-        _, _, lines = _pair_data(d, half, s_t.denominator, s_t.numerator)
+        mu, coords, lines, basis = _pair_data(
+            d, half, s_t.denominator, s_t.numerator, basis
+        )
         if akey in lines:
             if len(lines) >= 2:
-                return _make_vertex(field, s_t.denominator, s_t.numerator)
+                return _make_vertex(field, s_t, mu, coords)
             denom *= 4
             upper = _below_boundary(d, denom)
             s_t = s_t + (upper - s_t) * Fraction(2, 3)

@@ -2,6 +2,7 @@
 deterministic scans."""
 
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +17,7 @@ import pytest
 import unaryperfect.cli as cli
 from unaryperfect import units, voronoi
 from unaryperfect.cli import (
+    ClassSummary,
     ScanRecord,
     build_record,
     main,
@@ -137,6 +139,37 @@ def test_units_past_the_str_digit_limit_render(capsys):
     assert f"fundamental unit: {row[3]} + {row[4]}*sqrt(100000231)  (norm +1)" in out
 
 
+def test_classes_past_the_str_digit_limit_render(capsys):
+    big = 10**4400
+    digits = "1" + "0" * 4400
+    field = FieldDesc(7)
+    unit = fundamental_unit(field)
+    record = ScanRecord(
+        d=7,
+        n_classes=1,
+        dclass=classify(field, unit),
+        unit_alpha=unit.value.a,
+        unit_beta=unit.value.b,
+        norm_sign=unit.norm_sign,
+        classes=(ClassSummary((big, 1), big, ((big, 1),)),),
+        predicted=None,
+        agree=None,
+    )
+    obj = json.loads(render_json([record]), parse_int=_digits_value)[0]
+    assert obj["classes"] == [{"pair": [big, 1], "mu": big, "min_vectors": [[big, 1]]}]
+    cli._print_record(record)
+    out = capsys.readouterr().out
+    assert f"pair ({digits}, 1), slope 1/{digits}, minimum {digits}, " in out
+    assert f"+-({digits} + sqrt(7))" in out
+
+
+def test_output_to_a_text_only_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "1007", "--json"]) == 0
+    assert json.loads(out.getvalue())["nK"] == 3
+
+
 def test_json_round_trip_is_exact():
     records = [build_record(d) for d in SAMPLE_DS]
     for r, obj in zip(records, json.loads(render_json(records)), strict=True):
@@ -233,14 +266,27 @@ def test_cli_does_not_load_multiprocessing():
     assert done.stdout.splitlines()[-1] == "False"
 
 
-def test_closed_stdout_exits_141_quietly():
-    # the reader goes away before the report is written, as with `| head -0`
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,head",
+    [
+        # the reader goes away before the report is written, as with `| head -0`
+        (["analyze", "1007"], 0),
+        # the reader leaves during the one write of 382 kB, far past a pipe's
+        # buffer: unbuffered, that write comes back short instead of failing
+        (["scan", "2", "300", "--format", "json"], 10),
+    ],
+    ids=["analyze", "scan"],
+)
+def test_closed_stdout_exits_141_quietly(argv, head, unbuffered):
+    env = {**_package_env(), "PYTHONUNBUFFERED": unbuffered}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "unaryperfect", "analyze", "1007"],
-        env=_package_env(),
+        [sys.executable, "-m", "unaryperfect", *argv],
+        env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
+    assert len(proc.stdout.read(head)) == head
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -1,13 +1,15 @@
 """Envelope vertices and the neighbour walk: frozen small fields plus
 structural invariants of whole walks."""
 
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unaryperfect import traceform, voronoi
 from unaryperfect.quadfield import (
     FieldDesc,
     PrimitivePair,
@@ -24,6 +26,7 @@ from unaryperfect.voronoi import (
     neighbor_step,
     support_line,
     walk_classes,
+    _basis_of_line,
     _below_boundary,
     _rightward_line,
 )
@@ -71,6 +74,29 @@ def test_below_boundary_is_tight(d, denom):
     assert (num + 1) ** 2 * d > denom * denom
 
 
+@given(
+    st.sampled_from([FieldDesc(d) for d in SQUAREFREE]),
+    st.integers(-10**6, 10**6),
+    st.integers(-10**6, 10**6),
+)
+def test_basis_of_line_recovers_the_vector(field, u, v):
+    sl = support_line(field.from_basis_coords(u, v))
+    line = (sl.intercept, sl.slope_coef)
+    if gcd(u, v) != 1:
+        with pytest.raises(WalkError):
+            _basis_of_line(field.d, field.half_basis, line)
+        return
+    m00, m01, m10, m11 = _basis_of_line(field.d, field.half_basis, line)
+    assert m00 * m11 - m01 * m10 == 1
+    assert (m00, m10) in ((u, v), (-u, -v))
+
+
+@pytest.mark.parametrize("line", [(9999, 0), (2, 1), (0, 0), (-2, 0), (2, -28)])
+def test_basis_of_line_rejects_lines_of_no_vector(line):
+    with pytest.raises(WalkError):
+        _basis_of_line(7, False, line)
+
+
 INITIAL_TABLE = {
     2: (PrimitivePair(2, 1), Fraction(1, 2), 4),
     3: (PrimitivePair(2, 1), Fraction(1, 2), 4),
@@ -112,6 +138,43 @@ def test_neighbor_step_frozen():
 def test_neighbor_step_rejects_inactive_line():
     with pytest.raises(WalkError):
         neighbor_step(FieldDesc(7), Fraction(5, 14), SupportLine(9999, 0))
+
+
+@pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)])
+def test_neighbor_step_rejects_slopes_outside_the_cone(s0):
+    # no ceiling below 1/sqrt(7) passes these, so the search would never end
+    with pytest.raises(WalkError):
+        neighbor_step(FieldDesc(7), s0, SupportLine(2, 0))
+
+
+def test_walk_work_is_flat_along_the_period(monkeypatch):
+    # d = 1394942 has period 220 and pairs up to 753 bits; a ceiling search
+    # from 4*(p+1) or a reduction from the standard basis costs rounds in
+    # proportion to bits(p): 21 ceilings and 80 Gauss steps per reduction
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(voronoi, "_below_boundary")
+    counted(voronoi, "_reduce_ints")
+    counted(traceform, "_round_nearest_even")
+    result = walk_classes(FieldDesc(1394942))
+    assert result.class_count == 178
+    assert calls["_below_boundary"] <= 2 * calls["_reduce_ints"]
+    # 0.7 Gauss steps per reduction; 8.9 if s0 were reduced from scratch
+    assert calls["_round_nearest_even"] <= 2 * calls["_reduce_ints"]
+    monkeypatch.undo()
+    # warm-started reductions against cold ones from the standard basis
+    for cls in result.classes:
+        md = min_data(cls.form)
+        assert (md.mu, md.vectors) == (cls.mu, cls.min_vectors)
 
 
 WALK_TABLE = {
