@@ -4,6 +4,11 @@ Exact enumeration of the perfect forms of Q(sqrt(d)) up to scaling and
 squared-unit equivalence, via a neighbour walk along the lower envelope
 of trace support lines, plus closed-form families with known class
 counts and the machinery to verify them.
+
+A walked class is one integer record, PerfectForm: its ray label (p, q),
+its minimum, and its minimal vectors as sorted basis coordinates over
+{1, omega} with both signs.  Only min_data and brute_force_min return
+field elements.
 """
 
 from .family import (
@@ -28,7 +33,6 @@ from .family import (
 from .quadfield import (
     FieldDesc,
     FieldElem,
-    PrimitivePair,
     QuadFieldError,
     is_squarefree,
     primitive_normalize,
@@ -72,7 +76,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "PerfectForm",
     "PeriodError",
-    "PrimitivePair",
     "QuadFieldError",
     "ReductionCapError",
     "RejectedCandidate",

@@ -20,6 +20,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import isqrt
 from pathlib import Path
 
 from .family import (
@@ -43,28 +45,14 @@ def squarefree_sieve(lo: int, hi: int) -> list[int]:
     """Squarefree integers in [lo, hi], by striking multiples of squares."""
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    flags = bytearray([1]) * (hi - lo + 1)
-    p = 2
-    while p * p <= hi:
+    n = hi - lo + 1
+    flags = bytearray([1]) * n
+    for p in range(2, isqrt(hi) + 1):
         sq = p * p
-        start = (lo + sq - 1) // sq * sq
-        for mult in range(start, hi + 1, sq):
-            flags[mult - lo] = 0
-        p += 1
-    return [lo + i for i, keep in enumerate(flags) if keep]
-
-
-@dataclass(frozen=True, slots=True)
-class ClassSummary:
-    """One walked class: primitive pair, minimum, minimal vectors.
-
-    Vectors are basis coordinate pairs over {1, omega}, the full set
-    including negatives, sorted.
-    """
-
-    pair: tuple[int, int]
-    mu: int
-    min_vectors: tuple[tuple[int, int], ...]
+        first = -lo % sq  # offset of the least multiple of sq that is >= lo
+        if first < n:
+            flags[first::sq] = bytes((n - 1 - first) // sq + 1)
+    return list(compress(range(lo, hi + 1), flags))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,14 +63,9 @@ class ScanRecord:
     unit_alpha: Fraction
     unit_beta: Fraction
     norm_sign: int
-    classes: tuple[ClassSummary, ...]
+    classes: tuple[PerfectForm, ...]
     predicted: int | None
     agree: bool | None
-
-
-def _summarize(vertex: PerfectForm) -> ClassSummary:
-    coords = sorted(y.basis_coords() for y in vertex.min_vectors)
-    return ClassSummary((vertex.pair.p, vertex.pair.q), vertex.mu, tuple(coords))
 
 
 def build_record(d: int) -> ScanRecord:
@@ -98,7 +81,7 @@ def build_record(d: int) -> ScanRecord:
         unit_alpha=unit.value.a,
         unit_beta=unit.value.b,
         norm_sign=unit.norm_sign,
-        classes=tuple(_summarize(v) for v in result.classes),
+        classes=result.classes,
         predicted=predicted,
         agree=None if predicted is None else predicted == result.class_count,
     )
@@ -184,8 +167,8 @@ def render_json(records: list[ScanRecord]) -> str:
 # -- commands --------------------------------------------------------------
 
 
-def _render_pm_vectors(summary: ClassSummary, field: FieldDesc) -> str:
-    reps = sorted({max(c, (-c[0], -c[1])) for c in summary.min_vectors})
+def _render_pm_vectors(cls: PerfectForm, field: FieldDesc) -> str:
+    reps = sorted({max(c, (-c[0], -c[1])) for c in cls.min_vectors})
     return ", ".join(f"+-({field.from_basis_coords(u, v)})" for u, v in reps)
 
 
@@ -306,12 +289,13 @@ def cmd_verify_family(args) -> int:
         if result.class_count != 3:
             problems.append(f"class count {result.class_count} != 3")
         else:
+            forms = [field.element(*cls.pair) for cls in result.classes]
             matches = []
             for name, rep in (("a1", a1), ("a2", a2), ("a3", a3)):
                 js = [
                     j
-                    for j, cls in enumerate(result.classes)
-                    if classes_equal(cls.form, rep, result.eps2)
+                    for j, form in enumerate(forms)
+                    if classes_equal(form, rep, result.eps2)
                 ]
                 if len(js) != 1:
                     problems.append(f"{name} matched walk classes {js}")
@@ -345,7 +329,7 @@ def cmd_verify_family(args) -> int:
 
 def cmd_oracle(args) -> int:
     field = FieldDesc(args.d)
-    x = field.element(Fraction(args.alpha), Fraction(args.beta))
+    x = field.element(args.alpha, args.beta)
     box = None if args.box is None else (args.box, args.box)
     md = brute_force_min(x, box)
     print(f"form: {x}")
@@ -353,6 +337,14 @@ def cmd_oracle(args) -> int:
     for u, v in sorted(y.basis_coords() for y in md.vectors):
         print(f"  ({u}, {v})  =  {field.from_basis_coords(u, v)}")
     return 0
+
+
+def _rational(text: str) -> Fraction:
+    """A command-line rational p or p/q; argparse reports a bad one with exit 2."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational p or p/q: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimum of alpha + beta*sqrt(d)")
     p.add_argument("d", type=int)
-    p.add_argument("alpha", help="rational, as p or p/q")
-    p.add_argument("beta", help="rational, as p or p/q")
+    p.add_argument("alpha", type=_rational, help="rational, as p or p/q")
+    p.add_argument("beta", type=_rational, help="rational, as p or p/q")
     p.add_argument("--box", type=int, help="override the certified search box")
     p.set_defaults(func=cmd_oracle)
     return parser

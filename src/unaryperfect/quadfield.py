@@ -257,21 +257,11 @@ class FieldElem:
         return f"FieldElem({self.field.d}: {self})"
 
 
-@dataclass(frozen=True, slots=True)
-class PrimitivePair:
-    """Coprime integers (p, q), p > 0, labelling p + q*sqrt(d) up to
-    positive rational scaling."""
+def primitive_normalize(x: FieldElem) -> tuple[int, int]:
+    """Canonical label of the ray of positive rational multiples of x.
 
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.p <= 0 or gcd(self.p, self.q) != 1:
-            raise QuadFieldError(f"not a primitive pair: ({self.p}, {self.q})")
-
-
-def primitive_normalize(x: FieldElem) -> PrimitivePair:
-    """Canonical label of the ray of positive rational multiples of x."""
+    The coprime pair (p, q), p > 0, with p + q*sqrt(d) on that ray.
+    """
     if not x.is_totally_positive():
         raise QuadFieldError(f"{x} is not totally positive")
     da, db = x.a.denominator, x.b.denominator
@@ -279,7 +269,7 @@ def primitive_normalize(x: FieldElem) -> PrimitivePair:
     p = x.a.numerator * (scale // da)
     q = x.b.numerator * (scale // db)
     g = gcd(p, q)
-    return PrimitivePair(p // g, q // g)
+    return p // g, q // g
 
 
 def slope(x: FieldElem) -> Fraction:

@@ -2,12 +2,17 @@
 
 Totally positive rays are parametrised by the slope s of 1 + s*sqrt(d),
 s in (-1/sqrt(d), 1/sqrt(d)).  Each integral vector y contributes the
-support line s -> Tr(y^2) + s*Tr(sqrt(d)*y^2); the form's minimum mu(s)
-is the concave piecewise-linear lower envelope of these lines.  Envelope
-vertices are exactly the perfect rays.  Multiplication by the squared
-fundamental unit shifts slopes strictly rightward and permutes vertices,
-so walking vertex to vertex until the start reappears translated lists
-every class once; the vertex count of one period is the class count.
+support line s -> Tr(y^2) + s*Tr(sqrt(d)*y^2), kept as the int pair
+(intercept, slope_coef); the form's minimum mu(s) is the concave
+piecewise-linear lower envelope of these lines.  Envelope vertices are
+exactly the perfect rays.  Multiplication by the squared fundamental
+unit shifts slopes strictly rightward and permutes vertices, so walking
+vertex to vertex until the start reappears translated lists every class
+once; the vertex count of one period is the class count.
+
+The walk runs on ints throughout: a vertex is recorded as its ray label
+(p, q), its minimum and its minimal vectors in basis coordinates, and
+no field element is built per step.
 
 The pairs grow to hundreds of bits along a period, and a search that
 starts from scratch costs rounds in proportion to their bit length.  A
@@ -27,17 +32,11 @@ from math import gcd, isqrt
 from .quadfield import (
     FieldDesc,
     FieldElem,
-    PrimitivePair,
     QuadFieldError,
     primitive_normalize,
     slope,
 )
-from .traceform import (
-    _min_vectors_ints,
-    _reduce_ints,
-    _trace_form_ints,
-    _vector_set,
-)
+from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints
 from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
@@ -48,25 +47,11 @@ class WalkError(RuntimeError):
     """The walk lost its footing; indicates bad input or a bug."""
 
 
-@dataclass(frozen=True, slots=True)
-class SupportLine:
-    """Value of the pencil 1 + s*sqrt(d) on one vector: intercept + s*slope_coef."""
-
-    intercept: int
-    slope_coef: int
-
-
 def _line_of_basis_vec(d: int, half: bool, u: int, v: int) -> tuple[int, int]:
     """(Tr(y^2), Tr(sqrt(d)*y^2)) for y = u + v*omega; both are integers."""
     if half:
         return 2 * u * u + 2 * u * v + v * v * (1 + d) // 2, (2 * u * v + v * v) * d
     return 2 * (u * u + d * v * v), 4 * u * v * d
-
-
-def support_line(y: FieldElem) -> SupportLine:
-    return SupportLine(
-        *_line_of_basis_vec(y.field.d, y.field.half_basis, *y.basis_coords())
-    )
 
 
 def _pair_data(d: int, half: bool, p: int, q: int, start: tuple[int, int, int, int]):
@@ -99,23 +84,17 @@ def _pair_data(d: int, half: bool, p: int, q: int, start: tuple[int, int, int, i
 
 @dataclass(frozen=True, slots=True)
 class PerfectForm:
-    """An envelope vertex: the primitive integral form at a perfect ray."""
+    """An envelope vertex: the primitive integral form p + q*sqrt(d) at a perfect ray.
 
-    form: FieldElem
-    pair: PrimitivePair
-    s: Fraction
+    pair is the coprime ray label (p, q), p > 0, and mu the form's
+    minimum.  min_vectors lists the minimal vectors in basis coordinates
+    (u, v) over {1, omega}, both signs, sorted.  field.element(*pair) is
+    the form itself.
+    """
+
+    pair: tuple[int, int]
     mu: int
-    min_vectors: frozenset[FieldElem]
-
-
-def _make_vertex(field: FieldDesc, s: Fraction, mu: int, coords) -> PerfectForm:
-    return PerfectForm(
-        form=field.element(s.denominator, s.numerator),
-        pair=PrimitivePair(s.denominator, s.numerator),
-        s=s,
-        mu=mu,
-        min_vectors=_vector_set(field, coords),
-    )
+    min_vectors: tuple[tuple[int, int], ...]
 
 
 def _below_boundary(d: int, denom: int) -> Fraction:
@@ -148,17 +127,21 @@ def _basis_of_line(d: int, half: bool, line: tuple[int, int]) -> tuple[int, int,
     raise WalkError(f"no primitive vector has the support line {line}")
 
 
-def neighbor_step(field: FieldDesc, s0: Fraction, active: SupportLine) -> PerfectForm:
+def neighbor_step(
+    field: FieldDesc, s0: Fraction, active: tuple[int, int]
+) -> PerfectForm:
     """Next envelope vertex strictly right of s0.
 
-    The active line must carry the envelope immediately right of s0.  A
-    trial slope is probed; while the active line is the unique minimum
-    the trial pushes right (two thirds of the way to a rational ceiling
-    just under 1/sqrt(d), tightened each round so any vertex is passed
-    eventually), and once the active line stops being minimal the trial
-    pulls back to its last crossing with a current minimal line.  Each
-    pullback lands on or right of the sought vertex, so the trial meets
-    it exactly, with the active line minimal alongside at least one other.
+    The active line, an int pair (intercept, slope_coef), must carry the
+    envelope immediately right of s0.  A trial slope is probed; while the
+    active line is the unique minimum the trial pushes right (two thirds
+    of the way to a rational ceiling just under 1/sqrt(d), tightened each
+    round so any vertex is passed eventually), and once the active line
+    stops being minimal the trial pulls back to its last crossing with a
+    current minimal line.  Each pullback lands on or right of the sought
+    vertex, so the trial meets it exactly, with the active line minimal
+    alongside at least one other.  The vertex is built from that trial's
+    integer data alone.
 
     The opening ceiling has denominator 4*(p+1)*4^j for s0 = q/p, with
     the least j that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
@@ -174,7 +157,7 @@ def neighbor_step(field: FieldDesc, s0: Fraction, active: SupportLine) -> Perfec
     norm = p * p - d * q * q
     if norm <= 0:
         raise WalkError(f"s = {s0} is not below 1/sqrt({d})")
-    akey = (active.intercept, active.slope_coef)
+    a_ic, a_sc = active
     base = 4 * (p + 1)
     # base * r is the least multiple of base above the bound; 4^j >= r
     r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
@@ -184,51 +167,34 @@ def neighbor_step(field: FieldDesc, s0: Fraction, active: SupportLine) -> Perfec
         denom *= 4
         upper = _below_boundary(d, denom)
     s_t = (s0 + upper) / 2
-    basis = _basis_of_line(d, half, akey)
+    basis = _basis_of_line(d, half, active)
     for _ in range(_TRIAL_CAP):
         mu, coords, lines, basis = _pair_data(
             d, half, s_t.denominator, s_t.numerator, basis
         )
-        if akey in lines:
+        if active in lines:
             if len(lines) >= 2:
-                return _make_vertex(field, s_t, mu, coords)
+                coords += [(-u, -v) for u, v in coords]
+                return PerfectForm(
+                    (s_t.denominator, s_t.numerator), mu, tuple(sorted(coords))
+                )
             denom *= 4
             upper = _below_boundary(d, denom)
             s_t = s_t + (upper - s_t) * Fraction(2, 3)
             continue
         best: Fraction | None = None
         for ic, sc in lines:
-            if sc == active.slope_coef:
+            if sc == a_sc:
                 continue
-            cross = Fraction(active.intercept - ic, sc - active.slope_coef)
+            cross = Fraction(a_ic - ic, sc - a_sc)
             if best is None or cross > best:
                 best = cross
         if best is None or not s0 < best < s_t:
             raise WalkError(
-                f"line {akey} does not carry the envelope right of s = {s0}"
+                f"line {active} does not carry the envelope right of s = {s0}"
             )
         s_t = best
     raise WalkError(f"no vertex within {_TRIAL_CAP} trials right of s = {s0}")
-
-
-def initial_perfect(field: FieldDesc) -> PerfectForm:
-    """First envelope vertex right of the rational ray.
-
-    At s = 0 the minimum 2 is attained by +-1 alone, so the line (2, 0)
-    carries the envelope until the first vertex.
-    """
-    return neighbor_step(field, Fraction(0), SupportLine(2, 0))
-
-
-def _rightward_line(vertex: PerfectForm) -> SupportLine:
-    """The line carrying the envelope just right of the vertex.
-
-    The envelope is concave, so that is the minimal line of smallest
-    slope coefficient.
-    """
-    return min(
-        (support_line(y) for y in vertex.min_vectors), key=lambda l: l.slope_coef
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,25 +212,35 @@ class WalkResult:
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
-    Starts at the first vertex right of the rational ray and walks right
-    until that vertex returns multiplied by eps^2, which closes a full
-    period of the envelope.
+    Starts at the first vertex right of the rational ray, where at s = 0
+    the minimum 2 is attained by +-1 alone, so the line (2, 0) carries
+    the envelope up to that vertex.  Walks right until the first vertex
+    returns multiplied by eps^2, which closes a full period.  Each step
+    leaves along the minimal line of smallest slope coefficient, which
+    carries the concave envelope just right of the vertex.  The only
+    field element is the first form, to find its ray shifted by eps^2.
     """
+    d, half = field.d, field.half_basis
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    first = initial_perfect(field)
-    shifted = first.form * eps2
-    if slope(shifted) <= first.s:
+    first = neighbor_step(field, Fraction(0), (2, 0))
+    p, q = first.pair
+    shifted = field.element(p, q) * eps2
+    if slope(shifted) <= Fraction(q, p):
         raise WalkError("squared unit failed to shift the start rightward")
     target = primitive_normalize(shifted)
     classes = [first]
-    current = first
     for _ in range(_WALK_CAP):
-        nxt = neighbor_step(field, current.s, _rightward_line(current))
+        last = classes[-1]
+        p, q = last.pair
+        line = min(
+            (_line_of_basis_vec(d, half, u, v) for u, v in last.min_vectors),
+            key=lambda l: l[1],
+        )
+        nxt = neighbor_step(field, Fraction(q, p), line)
         if nxt.pair == target:
             return WalkResult(field, tuple(classes), unit, eps2)
         classes.append(nxt)
-        current = nxt
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 
 

@@ -31,7 +31,7 @@ from unaryperfect.voronoi import (
     classes_equal,
     neighbor_step,
     walk_classes,
-    _rightward_line,
+    _line_of_basis_vec,
 )
 
 SEED = 20260817
@@ -53,6 +53,10 @@ def _pm(*elems):
     return frozenset(y for v in elems for y in (v, -v))
 
 
+def _form(walk, cls):
+    return walk.field.element(*cls.pair)
+
+
 def _match_bijectively(walk, reps):
     """Each representative must land in exactly one walk class, all distinct."""
     hits = []
@@ -60,7 +64,7 @@ def _match_bijectively(walk, reps):
         js = [
             j
             for j, cls in enumerate(walk.classes)
-            if classes_equal(cls.form, rep, walk.eps2)
+            if classes_equal(_form(walk, cls), rep, walk.eps2)
         ]
         assert len(js) == 1, f"representative matched classes {js}"
         hits.append(js[0])
@@ -314,12 +318,18 @@ def test_criterion_7_invariance_and_symmetry():
     for d in sample:
         walk = _walk(d)
         first, last = walk.classes[0], walk.classes[-1]
-        again = neighbor_step(walk.field, last.s, _rightward_line(last))
-        assert again.pair == primitive_normalize(first.form * walk.eps2), d
+        # leave the last vertex along its minimal line of smallest slope coefficient
+        rightward = min(
+            (_line_of_basis_vec(d, walk.field.half_basis, u, v) for u, v in last.min_vectors),
+            key=lambda line: line[1],
+        )
+        p, q = last.pair
+        again = neighbor_step(walk.field, Fraction(q, p), rightward)
+        assert again.pair == primitive_normalize(_form(walk, first) * walk.eps2), d
         for cls in walk.classes:
-            flipped = cls.form.conj()
+            flipped = _form(walk, cls).conj()
             assert any(
-                classes_equal(other.form, flipped, walk.eps2)
+                classes_equal(_form(walk, other), flipped, walk.eps2)
                 for other in walk.classes
             ), d
     _passed(7, f"60 random forms, {len(sample)} walks closed and symmetric", t0)

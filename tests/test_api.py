@@ -1,6 +1,13 @@
-"""The package's public names, frozen so that a change to them is deliberate."""
+"""The package's public names, frozen so that a change to them is deliberate,
+and the names the benchmark's tracer binds."""
+
+import importlib
+import importlib.util
+from pathlib import Path
 
 import unaryperfect
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 PUBLIC = [
     "DClass",
@@ -16,7 +23,6 @@ PUBLIC = [
     "NotPositiveDefiniteError",
     "PerfectForm",
     "PeriodError",
-    "PrimitivePair",
     "QuadFieldError",
     "ReductionCapError",
     "RejectedCandidate",
@@ -51,4 +57,28 @@ def test_public_names_are_frozen():
 
 def test_public_names_resolve():
     missing = [name for name in unaryperfect.__all__ if not hasattr(unaryperfect, name)]
+    assert missing == []
+
+
+def test_traced_names_are_bound():
+    # bench/tracing.py imports only the standard library, so it loads by path
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def module(layer):
+        return importlib.import_module(f"unaryperfect.{layer}")
+
+    missing = [
+        f"{layer}.{attr}"
+        for layer, attr in tracing.SPANS
+        if not hasattr(module(layer), attr)
+    ]
+    # a counter replaces the binding in its own module only, so the name
+    # must be bound there, not just reachable from it
+    missing += [
+        f"{layer}.{attr}"
+        for layer, attr, _ in tracing.COUNTERS
+        if attr not in vars(module(layer))
+    ]
     assert missing == []

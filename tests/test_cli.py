@@ -17,7 +17,6 @@ import pytest
 import unaryperfect.cli as cli
 from unaryperfect import units, voronoi
 from unaryperfect.cli import (
-    ClassSummary,
     ScanRecord,
     build_record,
     main,
@@ -28,7 +27,7 @@ from unaryperfect.cli import (
 from unaryperfect.family import classify
 from unaryperfect.quadfield import FieldDesc, is_squarefree
 from unaryperfect.units import fundamental_unit
-from unaryperfect.voronoi import WalkError
+from unaryperfect.voronoi import PerfectForm, WalkError
 
 
 def test_sieve_frozen():
@@ -39,7 +38,8 @@ def test_sieve_frozen():
 
 
 def test_sieve_matches_trial_division():
-    assert squarefree_sieve(2, 2500) == [d for d in range(2, 2501) if is_squarefree(d)]
+    for lo, hi in [(2, 2500), (10**6, 10**6 + 3000)]:
+        assert squarefree_sieve(lo, hi) == [d for d in range(lo, hi + 1) if is_squarefree(d)]
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 5), (0, 10), (10, 9), (-3, -1)])
@@ -151,7 +151,7 @@ def test_classes_past_the_str_digit_limit_render(capsys):
         unit_alpha=unit.value.a,
         unit_beta=unit.value.b,
         norm_sign=unit.norm_sign,
-        classes=(ClassSummary((big, 1), big, ((big, 1),)),),
+        classes=(PerfectForm((big, 1), big, ((big, 1),)),),
         predicted=None,
         agree=None,
     )
@@ -401,6 +401,12 @@ def test_oracle_command(capsys):
     assert main(["oracle", "7", "1/2", "5/28", "--box", "0"]) == 2
     assert "empty search box" in capsys.readouterr().err
     assert main(["oracle", "12", "1", "0"]) == 2
+    capsys.readouterr()
+    # a zero denominator is bad input, not an internal failure
+    for argv in (["oracle", "7", "1/0", "1"], ["oracle", "7", "1", "2/0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not a rational" in err and "internal error" not in err
 
 
 def test_oracle_rejects_indefinite_input(capsys):

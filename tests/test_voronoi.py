@@ -12,41 +12,60 @@ from hypothesis import strategies as st
 from unaryperfect import traceform, voronoi
 from unaryperfect.quadfield import (
     FieldDesc,
-    PrimitivePair,
     QuadFieldError,
     is_squarefree,
     primitive_normalize,
 )
 from unaryperfect.traceform import min_data
 from unaryperfect.voronoi import (
-    SupportLine,
     WalkError,
     classes_equal,
-    initial_perfect,
     neighbor_step,
-    support_line,
     walk_classes,
     _basis_of_line,
     _below_boundary,
-    _rightward_line,
+    _line_of_basis_vec,
 )
 
 SQUAREFREE = [d for d in range(2, 120) if is_squarefree(d)]
 
 
+def coords(elems):
+    """Sorted basis coordinates of field elements, as a walked class lists them."""
+    return tuple(sorted(y.basis_coords() for y in elems))
+
+
 def pm(*elems):
-    out = set()
-    for y in elems:
-        out |= {y, -y}
-    return frozenset(out)
+    return coords({z for y in elems for z in (y, -y)})
+
+
+def line_of(y):
+    return _line_of_basis_vec(y.field.d, y.field.half_basis, *y.basis_coords())
+
+
+def form(field, cls):
+    return field.element(*cls.pair)
+
+
+def slope_of(cls):
+    p, q = cls.pair
+    return Fraction(q, p)
+
+
+def rightward_line(field, cls):
+    """The minimal line of smallest slope coefficient, as the walk leaves a vertex."""
+    return min(
+        (_line_of_basis_vec(field.d, field.half_basis, u, v) for u, v in cls.min_vectors),
+        key=lambda line: line[1],
+    )
 
 
 def test_support_line_frozen():
     F2, F5, F7 = FieldDesc(2), FieldDesc(5), FieldDesc(7)
-    assert support_line(F2.element(1, -1)) == SupportLine(6, -8)
-    assert support_line(F5.omega() - 1) == SupportLine(3, -5)
-    assert support_line(F7.one()) == SupportLine(2, 0)
-    assert support_line(F7.element(3, -1)) == SupportLine(32, -84)
+    assert line_of(F2.element(1, -1)) == (6, -8)
+    assert line_of(F5.omega() - 1) == (3, -5)
+    assert line_of(F7.one()) == (2, 0)
+    assert line_of(F7.element(3, -1)) == (32, -84)
 
 
 @given(
@@ -61,8 +80,8 @@ def test_support_line_evaluates_the_pencil(field, u, v, s):
     y = field.from_basis_coords(u, v)
     pencil = field.element(1) + field.sqrt_d() * s
     expected = (pencil * y * y).trace()
-    line = support_line(y)
-    assert line.intercept + s * line.slope_coef == expected
+    intercept, slope_coef = line_of(y)
+    assert intercept + s * slope_coef == expected
 
 
 @given(st.sampled_from(SQUAREFREE), st.integers(3, 4000))
@@ -80,8 +99,7 @@ def test_below_boundary_is_tight(d, denom):
     st.integers(-10**6, 10**6),
 )
 def test_basis_of_line_recovers_the_vector(field, u, v):
-    sl = support_line(field.from_basis_coords(u, v))
-    line = (sl.intercept, sl.slope_coef)
+    line = line_of(field.from_basis_coords(u, v))
     if gcd(u, v) != 1:
         with pytest.raises(WalkError):
             _basis_of_line(field.d, field.half_basis, line)
@@ -98,53 +116,53 @@ def test_basis_of_line_rejects_lines_of_no_vector(line):
 
 
 INITIAL_TABLE = {
-    2: (PrimitivePair(2, 1), Fraction(1, 2), 4),
-    3: (PrimitivePair(2, 1), Fraction(1, 2), 4),
-    5: (PrimitivePair(5, 1), Fraction(1, 5), 10),
-    7: (PrimitivePair(14, 5), Fraction(5, 14), 28),
+    2: ((2, 1), Fraction(1, 2), 4),
+    3: ((2, 1), Fraction(1, 2), 4),
+    5: ((5, 1), Fraction(1, 5), 10),
+    7: ((14, 5), Fraction(5, 14), 28),
 }
 
 
 @pytest.mark.parametrize("d,expected", sorted(INITIAL_TABLE.items()))
 def test_initial_vertex_frozen(d, expected):
     pair, s, mu = expected
-    v = initial_perfect(FieldDesc(d))
-    assert (v.pair, v.s, v.mu) == (pair, s, mu)
+    v = walk_classes(FieldDesc(d)).classes[0]
+    assert (v.pair, slope_of(v), v.mu) == (pair, s, mu)
 
 
 def test_initial_vertex_vectors_frozen():
     F2 = FieldDesc(2)
-    assert initial_perfect(F2).min_vectors == pm(F2.one(), F2.element(1, -1))
+    assert walk_classes(F2).classes[0].min_vectors == pm(F2.one(), F2.element(1, -1))
     F3 = FieldDesc(3)
-    assert initial_perfect(F3).min_vectors == pm(
+    assert walk_classes(F3).classes[0].min_vectors == pm(
         F3.one(), F3.element(1, -1), F3.element(2, -1)
     )
     F5 = FieldDesc(5)
-    assert initial_perfect(F5).min_vectors == pm(F5.one(), F5.omega() - 1)
+    assert walk_classes(F5).classes[0].min_vectors == pm(F5.one(), F5.omega() - 1)
     F7 = FieldDesc(7)
-    assert initial_perfect(F7).min_vectors == pm(
+    assert walk_classes(F7).classes[0].min_vectors == pm(
         F7.one(), F7.element(2, -1), F7.element(3, -1)
     )
 
 
 def test_neighbor_step_frozen():
     F7 = FieldDesc(7)
-    nxt = neighbor_step(F7, Fraction(5, 14), SupportLine(32, -84))
-    assert nxt.pair == PrimitivePair(98, 37)
+    nxt = neighbor_step(F7, Fraction(5, 14), (32, -84))
+    assert nxt.pair == (98, 37)
     F3 = FieldDesc(3)
-    assert neighbor_step(F3, Fraction(0), SupportLine(2, 0)).pair == PrimitivePair(2, 1)
+    assert neighbor_step(F3, Fraction(0), (2, 0)).pair == (2, 1)
 
 
 def test_neighbor_step_rejects_inactive_line():
     with pytest.raises(WalkError):
-        neighbor_step(FieldDesc(7), Fraction(5, 14), SupportLine(9999, 0))
+        neighbor_step(FieldDesc(7), Fraction(5, 14), (9999, 0))
 
 
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)])
 def test_neighbor_step_rejects_slopes_outside_the_cone(s0):
     # no ceiling below 1/sqrt(7) passes these, so the search would never end
     with pytest.raises(WalkError):
-        neighbor_step(FieldDesc(7), s0, SupportLine(2, 0))
+        neighbor_step(FieldDesc(7), s0, (2, 0))
 
 
 def test_walk_work_is_flat_along_the_period(monkeypatch):
@@ -165,7 +183,8 @@ def test_walk_work_is_flat_along_the_period(monkeypatch):
     counted(voronoi, "_below_boundary")
     counted(voronoi, "_reduce_ints")
     counted(traceform, "_round_nearest_even")
-    result = walk_classes(FieldDesc(1394942))
+    field = FieldDesc(1394942)
+    result = walk_classes(field)
     assert result.class_count == 178
     assert calls["_below_boundary"] <= 2 * calls["_reduce_ints"]
     # 0.7 Gauss steps per reduction; 8.9 if s0 were reduced from scratch
@@ -173,8 +192,8 @@ def test_walk_work_is_flat_along_the_period(monkeypatch):
     monkeypatch.undo()
     # warm-started reductions against cold ones from the standard basis
     for cls in result.classes:
-        md = min_data(cls.form)
-        assert (md.mu, md.vectors) == (cls.mu, cls.min_vectors)
+        md = min_data(form(field, cls))
+        assert (md.mu, coords(md.vectors)) == (cls.mu, cls.min_vectors)
 
 
 WALK_TABLE = {
@@ -192,7 +211,7 @@ WALK_TABLE = {
 @pytest.mark.parametrize("d,pairs", sorted(WALK_TABLE.items()))
 def test_walk_frozen(d, pairs):
     walk = walk_classes(FieldDesc(d))
-    assert [(c.pair.p, c.pair.q) for c in walk.classes] == pairs
+    assert [c.pair for c in walk.classes] == pairs
     assert walk.class_count == len(pairs)
 
 
@@ -200,18 +219,18 @@ def test_walk_frozen(d, pairs):
 def test_walk_invariants(d):
     field = FieldDesc(d)
     walk = walk_classes(field)
-    assert walk.classes[0].s > 0
+    assert slope_of(walk.classes[0]) > 0
     for i, cls in enumerate(walk.classes):
         assert len(cls.min_vectors) >= 4
-        data = min_data(cls.form)
+        data = min_data(form(field, cls))
         assert data.mu == cls.mu
-        assert data.vectors == cls.min_vectors
+        assert coords(data.vectors) == cls.min_vectors
         if i:
-            assert cls.s > walk.classes[i - 1].s
+            assert slope_of(cls) > slope_of(walk.classes[i - 1])
     # no class is counted twice
     for i, a in enumerate(walk.classes):
         for b in walk.classes[i + 1 :]:
-            assert not classes_equal(a.form, b.form, walk.eps2)
+            assert not classes_equal(form(field, a), form(field, b), walk.eps2)
 
 
 @pytest.mark.parametrize("d", [2, 7, 13, 223])
@@ -219,8 +238,8 @@ def test_walk_period_closes(d):
     field = FieldDesc(d)
     walk = walk_classes(field)
     last = walk.classes[-1]
-    nxt = neighbor_step(field, last.s, _rightward_line(last))
-    assert nxt.pair == primitive_normalize(walk.classes[0].form * walk.eps2)
+    nxt = neighbor_step(field, slope_of(last), rightward_line(field, last))
+    assert nxt.pair == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
 
 
 @pytest.mark.parametrize("d", [7, 10, 79, 223])
@@ -229,10 +248,10 @@ def test_walk_respects_conjugation(d):
     field = FieldDesc(d)
     walk = walk_classes(field)
     for cls in walk.classes:
-        flipped = cls.form.conj()
+        flipped = form(field, cls).conj()
         assert flipped.is_totally_positive()
         assert any(
-            classes_equal(other.form, flipped, walk.eps2)
+            classes_equal(form(field, other), flipped, walk.eps2)
             for other in walk.classes
         )
 
@@ -255,9 +274,9 @@ def test_is_perfect():
 def test_vertex_at():
     # the walk's vertex on the ray of 14 + 5*sqrt(7), and a ray that is no vertex
     F7 = FieldDesc(7)
-    (v,) = [c for c in walk_classes(F7).classes if c.pair == PrimitivePair(14, 5)]
+    (v,) = [c for c in walk_classes(F7).classes if c.pair == (14, 5)]
     assert v.mu == 28
-    assert v.min_vectors == min_data(F7.element(14, 5)).vectors
+    assert v.min_vectors == coords(min_data(F7.element(14, 5)).vectors)
     assert not _is_perfect(F7.element(3, 1))  # minimum on a single line
 
 
@@ -277,13 +296,15 @@ def test_classes_equal():
 @pytest.mark.parametrize("d", [7, 13, 223])
 @pytest.mark.parametrize("k", [-9, -4, 4, 9])
 def test_classes_equal_far_powers(d, k):
-    walk = walk_classes(FieldDesc(d))
+    field = FieldDesc(d)
+    walk = walk_classes(field)
     for cls in walk.classes:
-        assert classes_equal(cls.form, cls.form * walk.eps2**k, walk.eps2)
-        assert classes_equal(cls.form * walk.eps2**k, cls.form, walk.eps2)
+        x = form(field, cls)
+        assert classes_equal(x, x * walk.eps2**k, walk.eps2)
+        assert classes_equal(x * walk.eps2**k, x, walk.eps2)
     if walk.class_count > 1:
-        a, b = walk.classes[:2]
-        assert not classes_equal(a.form, b.form * walk.eps2**k, walk.eps2)
+        a, b = (form(field, c) for c in walk.classes[:2])
+        assert not classes_equal(a, b * walk.eps2**k, walk.eps2)
 
 
 def test_classes_equal_rejects_bad_eps2():
