@@ -36,7 +36,7 @@ from .family import (
 from .quadfield import FieldDesc, fraction_str
 from .traceform import brute_force_min, min_data
 from .units import SizeLimitError
-from .voronoi import PerfectForm, classes_equal, walk_classes
+from .voronoi import PerfectForm, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
 
@@ -289,18 +289,13 @@ def cmd_verify_family(args) -> int:
         if result.class_count != 3:
             problems.append(f"class count {result.class_count} != 3")
         else:
-            forms = [field.element(*cls.pair) for cls in result.classes]
             matches = []
             for name, rep in (("a1", a1), ("a2", a2), ("a3", a3)):
-                js = [
-                    j
-                    for j, form in enumerate(forms)
-                    if classes_equal(form, rep, result.eps2)
-                ]
-                if len(js) != 1:
-                    problems.append(f"{name} matched walk classes {js}")
+                j = result.class_index(rep)
+                if j is None:
+                    problems.append(f"{name} matched walk classes []")
                 else:
-                    matches.append(js[0])
+                    matches.append(j)
             if len(set(matches)) != len(matches):
                 problems.append(f"representatives collided on classes {matches}")
         md3 = min_data(a3)
@@ -378,7 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-cap", type=int, default=20000)
     p.set_defaults(func=cmd_verify_family)
 
-    p = sub.add_parser("oracle", help="brute-force minimum of alpha + beta*sqrt(d)")
+    p = sub.add_parser(
+        "oracle",
+        help="brute-force minimum of alpha + beta*sqrt(d)",
+        epilog="A negative alpha or beta such as -5/28 reads as an option; "
+        "put -- ahead of alpha and beta: oracle 7 -- 1/2 -5/28",
+    )
     p.add_argument("d", type=int)
     p.add_argument("alpha", type=_rational, help="rational, as p or p/q")
     p.add_argument("beta", type=_rational, help="rational, as p or p/q")

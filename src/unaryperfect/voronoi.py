@@ -197,6 +197,36 @@ def neighbor_step(
     raise WalkError(f"no vertex within {_TRIAL_CAP} trials right of s = {s0}")
 
 
+def _ray_times(d: int, ray: tuple[int, int], by: tuple[int, int]) -> tuple[int, int]:
+    """The coprime label of the ray of (p + q*sqrt(d)) * (a + b*sqrt(d))."""
+    (p, q), (a, b) = ray, by
+    x, y = p * a + d * q * b, p * b + q * a
+    g = gcd(x, y)
+    return x // g, y // g
+
+
+def _into_window(
+    d: int, ray: tuple[int, int], lo: tuple[int, int], unit: tuple[int, int]
+) -> tuple[int, int]:
+    """The ray of ray * eps2^k, k an integer, that lies in [lo, lo*eps2).
+
+    Rays are coprime labels (p, q), p > 0, of totally positive forms, and
+    unit is the ray of a totally positive eps2 > 1 of norm 1.
+    Multiplication by eps2 maps slopes q/p by a strictly increasing
+    Moebius map, so that window holds exactly one ray of each class.  The
+    ray steps there by the ray of eps2 or of its conjugate, and slopes
+    compare by cross-multiplication, p being positive.
+    """
+    (lo_p, lo_q), (hi_p, hi_q) = lo, _ray_times(d, lo, unit)
+    p, q = ray
+    while q * lo_p < lo_q * p:
+        p, q = _ray_times(d, (p, q), unit)
+    inverse = unit[0], -unit[1]
+    while q * hi_p >= hi_q * p:
+        p, q = _ray_times(d, (p, q), inverse)
+    return p, q
+
+
 @dataclass(frozen=True, slots=True)
 class WalkResult:
     field: FieldDesc
@@ -207,6 +237,28 @@ class WalkResult:
     @property
     def class_count(self) -> int:
         return len(self.classes)
+
+    def class_index(self, x: FieldElem) -> int | None:
+        """Index of the walked class that x spans, or None if x spans no class.
+
+        The walked pairs are the rays of one period, in the window
+        [classes[0], classes[0]*eps2); x's ray is moved into that window
+        and looked up among them, in integers.
+        """
+        if not x.is_totally_positive():
+            raise QuadFieldError("class comparison needs totally positive forms")
+        if x.field != self.field:
+            raise QuadFieldError("elements of different fields")
+        ray = _into_window(
+            self.field.d,
+            primitive_normalize(x),
+            self.classes[0].pair,
+            primitive_normalize(self.eps2),
+        )
+        for j, cls in enumerate(self.classes):
+            if cls.pair == ray:
+                return j
+        return None
 
 
 def walk_classes(field: FieldDesc) -> WalkResult:
@@ -247,10 +299,8 @@ def walk_classes(field: FieldDesc) -> WalkResult:
 def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
     """Whether x and y span the same ray modulo powers of eps2.
 
-    Multiplication by eps2 maps slopes by a strictly increasing Moebius
-    map, so every class has exactly one ray with slope in
-    [slope(y), slope(y*eps2)).  x is stepped there by eps2^(+-1), and
-    the classes agree exactly when it lands on y's ray.
+    Every class has exactly one ray in the window [y, y*eps2), so the
+    classes agree exactly when x's ray, moved into that window, is y's.
     """
     if not (x.is_totally_positive() and y.is_totally_positive()):
         raise QuadFieldError("class comparison needs totally positive forms")
@@ -262,13 +312,8 @@ def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
         and eps2.b > 0
     ):
         raise QuadFieldError(f"{eps2} is not a totally positive unit > 1")
-    lo, hi = slope(y), slope(y * eps2)
-    s = slope(x)
-    while s < lo:
-        x = x * eps2
-        s = slope(x)
-    inverse = eps2.conj()
-    while s >= hi:
-        x = x * inverse
-        s = slope(x)
-    return s == lo
+    if not x.field == y.field == eps2.field:
+        raise QuadFieldError("elements of different fields")
+    lo = primitive_normalize(y)
+    ray = _into_window(x.field.d, primitive_normalize(x), lo, primitive_normalize(eps2))
+    return ray == lo

@@ -1,14 +1,15 @@
 """Slow, independent references that the tests compare the library against.
 
 Each oracle reaches its answer by a route the library does not use: the
-trace form by field arithmetic instead of integer scaling, and the
-fundamental unit by exhaustive search instead of continued fractions.
+trace form and class identity by field arithmetic instead of integer
+scaling and ray labels, and the fundamental unit by exhaustive search
+instead of continued fractions.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError
+from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError, slope
 from unaryperfect.traceform import NotPositiveDefiniteError
 from unaryperfect.units import FundamentalUnit
 
@@ -19,6 +20,36 @@ def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
         raise NotPositiveDefiniteError(f"{x} is not totally positive")
     w = x.field.omega()
     return x.trace(), 2 * (x * w).trace(), (x * w * w).trace()
+
+
+def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
+    """Whether x and y span the same ray modulo powers of eps2.
+
+    Multiplication by eps2 maps slopes by a strictly increasing Moebius
+    map, so every class has exactly one ray with slope in
+    [slope(y), slope(y*eps2)).  x is stepped there by eps2^(+-1), and
+    the classes agree exactly when it lands on y's ray.
+    """
+    if not (x.is_totally_positive() and y.is_totally_positive()):
+        raise QuadFieldError("class comparison needs totally positive forms")
+    # without a norm-1 unit > 1 the steps below need not end
+    if not (
+        eps2.is_integral()
+        and eps2.is_totally_positive()
+        and eps2.norm() == 1
+        and eps2.b > 0
+    ):
+        raise QuadFieldError(f"{eps2} is not a totally positive unit > 1")
+    lo, hi = slope(y), slope(y * eps2)
+    s = slope(x)
+    while s < lo:
+        x = x * eps2
+        s = slope(x)
+    inverse = eps2.conj()
+    while s >= hi:
+        x = x * inverse
+        s = slope(x)
+    return s == lo
 
 
 class SearchExhaustedError(RuntimeError):

@@ -386,6 +386,39 @@ def test_verify_family_small(capsys):
     assert "all 2 family members verified" in out
 
 
+FAMILY_SMALL = ["verify-family", "--m-max", "3", "--k-max", "2", "--d-cap", "2000"]
+FAMILY_HEADER = "candidates: 5, accepted: 2, rejected: {'d not squarefree': 2, 'r = +-1': 1}"
+
+
+def test_verify_family_reports_a_lost_representative(monkeypatch, capsys):
+    # 1 spans no perfect ray, so a3 = 1 lies in no walked class
+    monkeypatch.setattr(cli, "construct_a3", lambda unit: unit.value.field.one())
+    assert main(FAMILY_SMALL) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        "d=1007 (m=3, k=2, delta=+1): FAIL  a3 matched walk classes []; "
+        "mu(a3) = 2 != 72; minimal vectors of a3 differ from prediction",
+        "d=799 (m=3, k=2, delta=-1): FAIL  a3 matched walk classes []; "
+        "mu(a3) = 2 != 64; minimal vectors of a3 differ from prediction",
+        "2 of 2 family members failed",
+    ]
+
+
+def test_verify_family_reports_colliding_representatives(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "construct_a3", lambda unit: cli.construct_a1_a2(unit.value.field)[0]
+    )
+    assert main(FAMILY_SMALL) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        "d=1007 (m=3, k=2, delta=+1): FAIL  representatives collided on classes "
+        "[0, 2, 0]; mu(a3) = 1 != 72; minimal vectors of a3 differ from prediction",
+        "d=799 (m=3, k=2, delta=-1): FAIL  representatives collided on classes "
+        "[0, 2, 0]; mu(a3) = 1 != 64; minimal vectors of a3 differ from prediction",
+        "2 of 2 family members failed",
+    ]
+
+
 def test_verify_family_vacuous(capsys):
     assert main(["verify-family", "--d-cap", "100"]) == 0
     assert "vacuously passed" in capsys.readouterr().out
@@ -407,6 +440,20 @@ def test_oracle_command(capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "not a rational" in err and "internal error" not in err
+
+
+def test_oracle_takes_negative_rationals_after_a_separator(capsys):
+    # without "--", argparse would read -5/28 as an option
+    assert main(["oracle", "7", "--", "1/2", "-5/28"]) == 0
+    out = capsys.readouterr().out
+    assert "minimum: 1" in out
+    assert "(3, 1)  =  3 + sqrt(7)" in out
+
+
+def test_oracle_help_names_the_separator(capsys):
+    assert main(["oracle", "--help"]) == 0
+    # argparse wraps help to the terminal's width
+    assert "oracle 7 -- 1/2 -5/28" in " ".join(capsys.readouterr().out.split())
 
 
 def test_oracle_rejects_indefinite_input(capsys):

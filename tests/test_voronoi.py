@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from unaryperfect import traceform, voronoi
 from unaryperfect.quadfield import (
     FieldDesc,
@@ -17,6 +18,7 @@ from unaryperfect.quadfield import (
     primitive_normalize,
 )
 from unaryperfect.traceform import min_data
+from unaryperfect.units import fundamental_unit, unit_square
 from unaryperfect.voronoi import (
     WalkError,
     classes_equal,
@@ -291,6 +293,8 @@ def test_classes_equal():
     assert not classes_equal(a1, a2, eps2)  # d = 7 has two classes
     with pytest.raises(QuadFieldError):
         classes_equal(F7.element(1, 1), a1, eps2)
+    with pytest.raises(QuadFieldError):
+        classes_equal(FieldDesc(2).one(), a1, eps2)  # another field
 
 
 @pytest.mark.parametrize("d", [7, 13, 223])
@@ -324,3 +328,61 @@ def test_classes_equal_rejects_bad_eps2():
     F2 = FieldDesc(2)
     with pytest.raises(QuadFieldError):
         classes_equal(F2.one(), F2.one(), F2.element(1, 1))  # norm -1
+
+
+def _positive_element(field, q, t, s, extra):
+    """A totally positive a + (q/t)*sqrt(d), a of denominator s just above |b|*sqrt(d)."""
+    b = Fraction(q, t)
+    # (isqrt(X) + 1)^2 > X = d*q^2*s^2/t^2, so a^2 > d*b^2
+    a = Fraction(isqrt(field.d * q * q * s * s // (t * t)) + 1 + extra, s)
+    return field.element(a, b)
+
+
+ELEMENT = st.tuples(
+    st.integers(-40, 40), st.integers(1, 9), st.integers(1, 9), st.integers(0, 60)
+)
+
+
+@given(
+    st.sampled_from([FieldDesc(d) for d in range(2, 200) if is_squarefree(d)]),
+    ELEMENT,
+    ELEMENT,
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+    st.booleans(),
+)
+def test_classes_equal_matches_the_field_arithmetic_oracle(field, x, y, k, j, same):
+    # for d = 1 (mod 4), eps2 often has half-integral coordinates
+    eps2 = unit_square(fundamental_unit(field))
+    x = _positive_element(field, *x)
+    y = x * eps2**j if same else _positive_element(field, *y)
+    shifted = x * eps2**k
+    want = oracles.classes_equal(shifted, y, eps2)
+    assert classes_equal(shifted, y, eps2) == want
+    assert want or not same
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 301) if is_squarefree(d)])
+def test_class_index_finds_every_class_at_every_power(d):
+    field = FieldDesc(d)
+    walk = walk_classes(field)
+    pairs = [c.pair for c in walk.classes] + [
+        primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
+    ]
+    for k in range(-3, 5):
+        power = walk.eps2**k
+        for j, cls in enumerate(walk.classes):
+            assert walk.class_index(form(field, cls) * power) == j
+        # 1 is minimal on +-1 alone, and a mediant of two neighbouring
+        # vertices lies strictly between them; neither is perfect
+        assert walk.class_index(power) is None
+        for (p0, q0), (p1, q1) in zip(pairs, pairs[1:]):
+            assert walk.class_index(field.element(p0 + p1, q0 + q1) * power) is None
+
+
+def test_class_index_rejects_bad_input():
+    walk = walk_classes(FieldDesc(7))
+    with pytest.raises(QuadFieldError):
+        walk.class_index(FieldDesc(7).element(1, 1))  # not totally positive
+    with pytest.raises(QuadFieldError):
+        walk.class_index(FieldDesc(2).one())  # another field
