@@ -36,7 +36,6 @@ from .quadfield import (
     QuadFieldError,
     is_squarefree,
     primitive_normalize,
-    slope,
 )
 from .traceform import (
     MinData,
@@ -98,7 +97,6 @@ __all__ = [
     "predicted_a3_minimum",
     "predicted_minimal_set",
     "primitive_normalize",
-    "slope",
     "unit_square",
     "walk_classes",
 ]

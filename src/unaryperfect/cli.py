@@ -234,12 +234,9 @@ def _scan_worker(d: int) -> ScanRecord:
 
 
 def cmd_scan(args) -> int:
-    mod4 = {int(t) for t in args.mod4.split(",")}
-    if not mod4 or not mod4 <= {1, 2, 3}:
-        raise ValueError(f"--mod4 must pick from 1,2,3; got {args.mod4!r}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in mod4]
+    ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in args.mod4]
     # the pool forks all its workers up front, so never ask for more than can run
     workers = min(args.jobs, len(ds), os.cpu_count() or 1)
     if workers > 1:
@@ -325,8 +322,7 @@ def cmd_verify_family(args) -> int:
 def cmd_oracle(args) -> int:
     field = FieldDesc(args.d)
     x = field.element(args.alpha, args.beta)
-    box = None if args.box is None else (args.box, args.box)
-    md = brute_force_min(x, box)
+    md = brute_force_min(x)
     print(f"form: {x}")
     print(f"minimum: {md.mu}")
     for u, v in sorted(y.basis_coords() for y in md.vectors):
@@ -340,6 +336,17 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational p or p/q: {text!r}") from None
+
+
+def _residues(text: str) -> set[int]:
+    """A --mod4 value: residues from 1, 2, 3, comma-separated."""
+    try:
+        mod4 = {int(t) for t in text.split(",")}
+    except ValueError:
+        mod4 = set()
+    if not mod4 or not mod4 <= {1, 2, 3}:
+        raise argparse.ArgumentTypeError(f"must pick from 1,2,3; got {text!r}")
+    return mod4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -358,7 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="walk every squarefree d in a range")
     p.add_argument("lo", type=int)
     p.add_argument("hi", type=int)
-    p.add_argument("--mod4", default="1,2,3", help="keep d with these residues mod 4")
+    p.add_argument(
+        "--mod4", type=_residues, default="1,2,3", help="keep d with these residues mod 4"
+    )
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -382,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("d", type=int)
     p.add_argument("alpha", type=_rational, help="rational, as p or p/q")
     p.add_argument("beta", type=_rational, help="rational, as p or p/q")
-    p.add_argument("--box", type=int, help="override the certified search box")
     p.set_defaults(func=cmd_oracle)
     return parser
 

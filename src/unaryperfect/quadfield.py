@@ -270,10 +270,3 @@ def primitive_normalize(x: FieldElem) -> tuple[int, int]:
     q = x.b.numerator * (scale // db)
     g = gcd(p, q)
     return p // g, q // g
-
-
-def slope(x: FieldElem) -> Fraction:
-    """b/a, the coordinate of x's ray inside (-1/sqrt(d), 1/sqrt(d))."""
-    if not x.is_totally_positive():
-        raise QuadFieldError(f"{x} is not totally positive")
-    return x.b / x.a

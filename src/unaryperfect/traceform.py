@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .quadfield import FieldDesc, FieldElem, QuadFieldError
+from .quadfield import FieldDesc, FieldElem
 
 _REDUCE_CAP = 10**6
 
@@ -154,26 +154,22 @@ def certified_box(x: FieldElem) -> tuple[int, int]:
     return max(ub, 1), max(vb, 1)
 
 
-def brute_force_min(x: FieldElem, box: tuple[int, int] | None = None) -> MinData:
+def brute_force_min(x: FieldElem) -> MinData:
     """Independent minimum by direct search over a certified box.
 
-    Never calls the reduction path, so it cross-checks min_data.  An
-    explicit box overrides the certified one at the caller's risk.
+    Never calls the reduction path, so it cross-checks min_data.  The box
+    holds (1, 0), of value A, so the search starts from that value.
     """
     A, B, C, L = _scaled_form(x)
-    ub, vb = certified_box(x) if box is None else box
-    best: int | None = None
-    vecs: list[tuple[int, int]] = []
+    ub, vb = certified_box(x)
+    best, vecs = A, []
     for v in range(0, vb + 1):
         for u in range(-ub, ub + 1):
             if v == 0 and u <= 0:
                 continue
             val = A * u * u + B * u * v + C * v * v
-            if best is None or val < best:
-                best = val
-                vecs = [(u, v)]
+            if val < best:
+                best, vecs = val, [(u, v)]
             elif val == best:
                 vecs.append((u, v))
-    if best is None:
-        raise QuadFieldError("empty search box")
     return MinData(Fraction(best, L), _vector_set(x.field, vecs))

@@ -12,7 +12,8 @@ once; the vertex count of one period is the class count.
 
 The walk runs on ints throughout: a vertex is recorded as its ray label
 (p, q), its minimum and its minimal vectors in basis coordinates, and
-no field element is built per step.
+each step is handed the vertex's label and the minimal vector to leave
+along, so no field element is built per step.
 
 The pairs grow to hundreds of bits along a period, and a search that
 starts from scratch costs rounds in proportion to their bit length.  A
@@ -29,13 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .quadfield import (
-    FieldDesc,
-    FieldElem,
-    QuadFieldError,
-    primitive_normalize,
-    slope,
-)
+from .quadfield import FieldDesc, FieldElem, QuadFieldError, primitive_normalize
 from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints
 from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
 
@@ -102,62 +97,51 @@ def _below_boundary(d: int, denom: int) -> Fraction:
     return Fraction(isqrt((denom * denom - 1) // d), denom)
 
 
-def _basis_of_line(d: int, half: bool, line: tuple[int, int]) -> tuple[int, int, int, int]:
-    """A unimodular basis whose first column is the vector, up to sign, of the line.
-
-    Write y = (X0 + X1*sqrt(d))/2.  Its line is ((X0^2 + d*X1^2)/2, d*X0*X1),
-    so X0^2 and d*X1^2 are the two roots of t^2 - T*t + d*P^2 with
-    T = 2*Tr(y^2) and P = X0*X1.  Only one order of the roots makes both a
-    square and d times a square, d being squarefree.  A vector with a
-    support line is minimal somewhere, hence primitive, so a modular
-    inverse gives the second column.
-    """
-    t, prod = 2 * line[0], line[1] // d
-    disc = t * t - 4 * d * prod * prod
-    if t > 0 and disc >= 0:
-        n = isqrt(disc)
-        for a in ((t + n) // 2, (t - n) // 2):
-            x0, x1 = isqrt(a), isqrt((t - a) // d) * (-1 if prod < 0 else 1)
-            u, v = ((x0 - x1) // 2, x1) if half else (x0 // 2, x1 // 2)
-            if gcd(u, v) == 1 and _line_of_basis_vec(d, half, u, v) == line:
-                if v == 0:
-                    return u, 0, 0, u
-                b = pow(u, -1, abs(v))
-                return u, (u * b - 1) // v, v, b
-    raise WalkError(f"no primitive vector has the support line {line}")
+def _basis_through(u: int, v: int) -> tuple[int, int, int, int]:
+    """A unimodular basis whose first column is the primitive vector (u, v)."""
+    if gcd(u, v) != 1:
+        raise WalkError(f"({u}, {v}) is not a primitive vector")
+    if v == 0:
+        return u, 0, 0, u
+    b = pow(u, -1, abs(v))
+    return u, (u * b - 1) // v, v, b
 
 
 def neighbor_step(
-    field: FieldDesc, s0: Fraction, active: tuple[int, int]
+    field: FieldDesc, pair: tuple[int, int], vec: tuple[int, int]
 ) -> PerfectForm:
-    """Next envelope vertex strictly right of s0.
+    """Next envelope vertex strictly right of the ray pair = (p, q), p > 0.
 
-    The active line, an int pair (intercept, slope_coef), must carry the
-    envelope immediately right of s0.  A trial slope is probed; while the
-    active line is the unique minimum the trial pushes right (two thirds
-    of the way to a rational ceiling just under 1/sqrt(d), tightened each
-    round so any vertex is passed eventually), and once the active line
-    stops being minimal the trial pulls back to its last crossing with a
-    current minimal line.  Each pullback lands on or right of the sought
-    vertex, so the trial meets it exactly, with the active line minimal
-    alongside at least one other.  The vertex is built from that trial's
-    integer data alone.
+    vec is a primitive vector (u, v) in basis coordinates whose support
+    line, the active line, carries the envelope immediately right of
+    s0 = q/p: at a vertex, the minimal vector whose line has the
+    smallest slope coefficient.  A trial slope is probed; while the active line is the
+    unique minimum the trial pushes right (two thirds of the way to a
+    rational ceiling just under 1/sqrt(d), tightened each round so any
+    vertex is passed eventually), and once the active line stops being
+    minimal the trial pulls back to its last crossing with a current
+    minimal line.  Each pullback lands on or right of the sought vertex,
+    so the trial meets it exactly, with the active line minimal alongside
+    at least one other.  The vertex is built from that trial's integer
+    data alone.
 
-    The opening ceiling has denominator 4*(p+1)*4^j for s0 = q/p, with
-    the least j that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
+    The opening ceiling has denominator 4*(p+1)*4^j, with the least j
+    that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
     1/sqrt(d) - s0 = N/(p*sqrt(d)*(p + q*sqrt(d))) exceeds
     N/(2*p^2*(isqrt(d) + 1)), and a ceiling with denominator D lies
     within 1/D of 1/sqrt(d).  The first trial's reduction starts from a
-    basis through the active line's vector, which is minimal at s0, and
-    each later one from the reduced basis of the trial before it, so a
-    step costs the same few Gauss steps wherever it lies in the period.
+    basis through vec, which is minimal at s0, and each later one from
+    the reduced basis of the trial before it, so a step costs the same
+    few Gauss steps wherever it lies in the period.
     """
     d, half = field.d, field.half_basis
-    p, q = s0.denominator, s0.numerator
+    p, q = pair
     norm = p * p - d * q * q
-    if norm <= 0:
-        raise WalkError(f"s = {s0} is not below 1/sqrt({d})")
-    a_ic, a_sc = active
+    if p <= 0 or norm <= 0:
+        raise WalkError(f"{pair} is not the ray of a totally positive form")
+    s0 = Fraction(q, p)
+    basis = _basis_through(*vec)
+    active = a_ic, a_sc = _line_of_basis_vec(d, half, *vec)
     base = 4 * (p + 1)
     # base * r is the least multiple of base above the bound; 4^j >= r
     r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
@@ -167,7 +151,6 @@ def neighbor_step(
         denom *= 4
         upper = _below_boundary(d, denom)
     s_t = (s0 + upper) / 2
-    basis = _basis_of_line(d, half, active)
     for _ in range(_TRIAL_CAP):
         mu, coords, lines, basis = _pair_data(
             d, half, s_t.denominator, s_t.numerator, basis
@@ -191,10 +174,10 @@ def neighbor_step(
                 best = cross
         if best is None or not s0 < best < s_t:
             raise WalkError(
-                f"line {active} does not carry the envelope right of s = {s0}"
+                f"vector {vec} does not carry the envelope right of {pair}"
             )
         s_t = best
-    raise WalkError(f"no vertex within {_TRIAL_CAP} trials right of s = {s0}")
+    raise WalkError(f"no vertex within {_TRIAL_CAP} trials right of {pair}")
 
 
 def _ray_times(d: int, ray: tuple[int, int], by: tuple[int, int]) -> tuple[int, int]:
@@ -264,32 +247,30 @@ class WalkResult:
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
-    Starts at the first vertex right of the rational ray, where at s = 0
-    the minimum 2 is attained by +-1 alone, so the line (2, 0) carries
-    the envelope up to that vertex.  Walks right until the first vertex
-    returns multiplied by eps^2, which closes a full period.  Each step
-    leaves along the minimal line of smallest slope coefficient, which
-    carries the concave envelope just right of the vertex.  The only
-    field element is the first form, to find its ray shifted by eps^2.
+    Starts at the first vertex right of the rational ray (1, 0), where
+    the minimum 2 is attained by +-1 alone, so the vector 1 carries the
+    envelope up to that vertex.  Walks right until the first vertex
+    returns multiplied by eps^2, which closes a full period; that target
+    is the first ray times the ray of eps^2.  Each step hands
+    neighbor_step the vertex's ray and the minimal vector whose line has
+    the smallest slope coefficient; that line carries the concave
+    envelope just right of the vertex.  Rays multiply as integer pairs
+    and compare by cross-multiplication, so the walk does no field
+    arithmetic.
     """
     d, half = field.d, field.half_basis
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    first = neighbor_step(field, Fraction(0), (2, 0))
+    first = neighbor_step(field, (1, 0), (1, 0))
     p, q = first.pair
-    shifted = field.element(p, q) * eps2
-    if slope(shifted) <= Fraction(q, p):
+    target = _ray_times(d, first.pair, primitive_normalize(eps2))
+    if target[1] * p <= q * target[0]:
         raise WalkError("squared unit failed to shift the start rightward")
-    target = primitive_normalize(shifted)
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]
-        p, q = last.pair
-        line = min(
-            (_line_of_basis_vec(d, half, u, v) for u, v in last.min_vectors),
-            key=lambda l: l[1],
-        )
-        nxt = neighbor_step(field, Fraction(q, p), line)
+        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(d, half, *y)[1])
+        nxt = neighbor_step(field, last.pair, vec)
         if nxt.pair == target:
             return WalkResult(field, tuple(classes), unit, eps2)
         classes.append(nxt)

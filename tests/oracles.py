@@ -9,7 +9,7 @@ instead of continued fractions.
 from fractions import Fraction
 from math import isqrt
 
-from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError, slope
+from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError
 from unaryperfect.traceform import NotPositiveDefiniteError
 from unaryperfect.units import FundamentalUnit
 
@@ -20,6 +20,13 @@ def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
         raise NotPositiveDefiniteError(f"{x} is not totally positive")
     w = x.field.omega()
     return x.trace(), 2 * (x * w).trace(), (x * w * w).trace()
+
+
+def slope(x: FieldElem) -> Fraction:
+    """b/a, the coordinate of x's ray inside (-1/sqrt(d), 1/sqrt(d))."""
+    if not x.is_totally_positive():
+        raise QuadFieldError(f"{x} is not totally positive")
+    return x.b / x.a
 
 
 def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:

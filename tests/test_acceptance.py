@@ -318,13 +318,12 @@ def test_criterion_7_invariance_and_symmetry():
     for d in sample:
         walk = _walk(d)
         first, last = walk.classes[0], walk.classes[-1]
-        # leave the last vertex along its minimal line of smallest slope coefficient
+        # leave the last vertex along the minimal vector whose line has the least slope
         rightward = min(
-            (_line_of_basis_vec(d, walk.field.half_basis, u, v) for u, v in last.min_vectors),
-            key=lambda line: line[1],
+            last.min_vectors,
+            key=lambda y: _line_of_basis_vec(d, walk.field.half_basis, *y)[1],
         )
-        p, q = last.pair
-        again = neighbor_step(walk.field, Fraction(q, p), rightward)
+        again = neighbor_step(walk.field, last.pair, rightward)
         assert again.pair == primitive_normalize(_form(walk, first) * walk.eps2), d
         for cls in walk.classes:
             flipped = _form(walk, cls).conj()

@@ -45,7 +45,6 @@ PUBLIC = [
     "predicted_a3_minimum",
     "predicted_minimal_set",
     "primitive_normalize",
-    "slope",
     "unit_square",
     "walk_classes",
 ]

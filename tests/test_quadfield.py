@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from oracles import slope
 from unaryperfect.quadfield import (
     FieldDesc,
     FieldElem,
@@ -14,7 +15,6 @@ from unaryperfect.quadfield import (
     fraction_str,
     is_squarefree,
     primitive_normalize,
-    slope,
 )
 
 SQUAREFREE = [d for d in range(2, 300) if is_squarefree(d)]

@@ -173,9 +173,3 @@ def test_certified_box_never_degenerate():
     F = FieldDesc(79)
     ub, vb = certified_box(F.element(9, 1))
     assert ub >= 1 and vb >= 1
-
-
-def test_explicit_box_override():
-    F7 = FieldDesc(7)
-    a1 = F7.element(Fraction(1, 2), Fraction(5, 28))
-    assert brute_force_min(a1, (9, 9)) == brute_force_min(a1)

@@ -24,7 +24,7 @@ from unaryperfect.voronoi import (
     classes_equal,
     neighbor_step,
     walk_classes,
-    _basis_of_line,
+    _basis_through,
     _below_boundary,
     _line_of_basis_vec,
 )
@@ -54,11 +54,11 @@ def slope_of(cls):
     return Fraction(q, p)
 
 
-def rightward_line(field, cls):
-    """The minimal line of smallest slope coefficient, as the walk leaves a vertex."""
+def rightward_vec(field, cls):
+    """The minimal vector whose line has the least slope, as the walk leaves a vertex."""
     return min(
-        (_line_of_basis_vec(field.d, field.half_basis, u, v) for u, v in cls.min_vectors),
-        key=lambda line: line[1],
+        cls.min_vectors,
+        key=lambda y: _line_of_basis_vec(field.d, field.half_basis, *y)[1],
     )
 
 
@@ -95,26 +95,15 @@ def test_below_boundary_is_tight(d, denom):
     assert (num + 1) ** 2 * d > denom * denom
 
 
-@given(
-    st.sampled_from([FieldDesc(d) for d in SQUAREFREE]),
-    st.integers(-10**6, 10**6),
-    st.integers(-10**6, 10**6),
-)
-def test_basis_of_line_recovers_the_vector(field, u, v):
-    line = line_of(field.from_basis_coords(u, v))
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_basis_through_completes_the_vector(u, v):
     if gcd(u, v) != 1:
         with pytest.raises(WalkError):
-            _basis_of_line(field.d, field.half_basis, line)
+            _basis_through(u, v)
         return
-    m00, m01, m10, m11 = _basis_of_line(field.d, field.half_basis, line)
+    m00, m01, m10, m11 = _basis_through(u, v)
     assert m00 * m11 - m01 * m10 == 1
-    assert (m00, m10) in ((u, v), (-u, -v))
-
-
-@pytest.mark.parametrize("line", [(9999, 0), (2, 1), (0, 0), (-2, 0), (2, -28)])
-def test_basis_of_line_rejects_lines_of_no_vector(line):
-    with pytest.raises(WalkError):
-        _basis_of_line(7, False, line)
+    assert (m00, m10) == (u, v)
 
 
 INITIAL_TABLE = {
@@ -149,22 +138,36 @@ def test_initial_vertex_vectors_frozen():
 
 def test_neighbor_step_frozen():
     F7 = FieldDesc(7)
-    nxt = neighbor_step(F7, Fraction(5, 14), (32, -84))
+    # leaving 14 + 5*sqrt(7) along 3 - sqrt(7), whose line is (32, -84)
+    nxt = neighbor_step(F7, (14, 5), (3, -1))
     assert nxt.pair == (98, 37)
     F3 = FieldDesc(3)
-    assert neighbor_step(F3, Fraction(0), (2, 0)).pair == (2, 1)
+    assert neighbor_step(F3, (1, 0), (1, 0)).pair == (2, 1)
 
 
 def test_neighbor_step_rejects_inactive_line():
+    # 1 + sqrt(7) is not minimal at 14 + 5*sqrt(7)
     with pytest.raises(WalkError):
-        neighbor_step(FieldDesc(7), Fraction(5, 14), (9999, 0))
+        neighbor_step(FieldDesc(7), (14, 5), (1, 1))
 
 
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)])
 def test_neighbor_step_rejects_slopes_outside_the_cone(s0):
     # no ceiling below 1/sqrt(7) passes these, so the search would never end
     with pytest.raises(WalkError):
-        neighbor_step(FieldDesc(7), s0, (2, 0))
+        neighbor_step(FieldDesc(7), (s0.denominator, s0.numerator), (1, 0))
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (-14, -5), (-1, 0)])
+def test_neighbor_step_rejects_rays_of_no_positive_p(pair):
+    with pytest.raises(WalkError):
+        neighbor_step(FieldDesc(7), pair, (1, 0))
+
+
+@pytest.mark.parametrize("vec", [(2, 0), (0, 0), (3, -3), (0, 2)])
+def test_neighbor_step_rejects_vectors_that_are_not_primitive(vec):
+    with pytest.raises(WalkError):
+        neighbor_step(FieldDesc(7), (14, 5), vec)
 
 
 def test_walk_work_is_flat_along_the_period(monkeypatch):
@@ -240,7 +243,7 @@ def test_walk_period_closes(d):
     field = FieldDesc(d)
     walk = walk_classes(field)
     last = walk.classes[-1]
-    nxt = neighbor_step(field, slope_of(last), rightward_line(field, last))
+    nxt = neighbor_step(field, last.pair, rightward_vec(field, last))
     assert nxt.pair == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
 
 
