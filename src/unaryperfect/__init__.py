@@ -15,8 +15,6 @@ from .family import (
     DClass,
     FamilyParams,
     FamilyScan,
-    HypothesisError,
-    InvariantError,
     NRDecomp,
     RejectedCandidate,
     classify,
@@ -33,31 +31,15 @@ from .family import (
 from .quadfield import (
     FieldDesc,
     FieldElem,
+    InvariantError,
     QuadFieldError,
+    SizeLimitError,
     is_squarefree,
     primitive_normalize,
 )
-from .traceform import (
-    MinData,
-    NotPositiveDefiniteError,
-    ReductionCapError,
-    brute_force_min,
-    min_data,
-)
-from .units import (
-    FundamentalUnit,
-    PeriodError,
-    SizeLimitError,
-    fundamental_unit,
-    unit_square,
-)
-from .voronoi import (
-    PerfectForm,
-    WalkError,
-    WalkResult,
-    classes_equal,
-    walk_classes,
-)
+from .traceform import MinData, brute_force_min, min_data
+from .units import FundamentalUnit, fundamental_unit, unit_square
+from .voronoi import PerfectForm, WalkResult, classes_equal, walk_classes
 
 __version__ = "0.1.0"
 
@@ -68,18 +50,13 @@ __all__ = [
     "FieldDesc",
     "FieldElem",
     "FundamentalUnit",
-    "HypothesisError",
     "InvariantError",
     "MinData",
     "NRDecomp",
-    "NotPositiveDefiniteError",
     "PerfectForm",
-    "PeriodError",
     "QuadFieldError",
-    "ReductionCapError",
     "RejectedCandidate",
     "SizeLimitError",
-    "WalkError",
     "WalkResult",
     "brute_force_min",
     "candidate_params",

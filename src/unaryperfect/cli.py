@@ -1,9 +1,11 @@
 """Command line front end: field reports, range scans, family checks.
 
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
-input, or a size limit overrun (a step cap of the continued fraction or
-the walk); 3 internal failure; 141 stdout was closed by its reader
-(128 + SIGPIPE, as a shell reports a filter killed by that signal).
+input, checked where it enters, an unwritable --out, or a SizeLimitError
+(a step cap of the continued fraction or the walk, or the oracle's box);
+3 any other exception, which after those checks is a bug; 141 stdout was
+closed by its reader (128 + SIGPIPE, as a shell reports a filter killed
+by that signal).
 Scan output is deterministic: records are emitted in ascending d and
 all vector lists are sorted, so reruns and different worker counts
 produce identical bytes.
@@ -33,9 +35,8 @@ from .family import (
     predicted_a3_minimum,
     predicted_minimal_set,
 )
-from .quadfield import FieldDesc, fraction_str
+from .quadfield import FieldDesc, QuadFieldError, SizeLimitError, fraction_str
 from .traceform import brute_force_min, min_data
-from .units import SizeLimitError
 from .voronoi import PerfectForm, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
@@ -44,7 +45,7 @@ CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree
 def squarefree_sieve(lo: int, hi: int) -> list[int]:
     """Squarefree integers in [lo, hi], by striking multiples of squares."""
     if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+        raise QuadFieldError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     n = hi - lo + 1
     flags = bytearray([1]) * n
     for p in range(2, isqrt(hi) + 1):
@@ -233,9 +234,15 @@ def _scan_worker(d: int) -> ScanRecord:
     return build_record(d)
 
 
+def _bad_input(message: str) -> int:
+    """Report input that argparse cannot check alone; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_scan(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.hi < args.lo:
+        return _bad_input(f"need lo <= hi, got [{args.lo}, {args.hi}]")
     ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in args.mod4]
     # the pool forks all its workers up front, so never ask for more than can run
     workers = min(args.jobs, len(ds), os.cpu_count() or 1)
@@ -322,6 +329,8 @@ def cmd_verify_family(args) -> int:
 def cmd_oracle(args) -> int:
     field = FieldDesc(args.d)
     x = field.element(args.alpha, args.beta)
+    if not x.is_totally_positive():
+        return _bad_input(f"{x} is not totally positive")
     md = brute_force_min(x)
     print(f"form: {x}")
     print(f"minimum: {md.mu}")
@@ -336,6 +345,26 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational p or p/q: {text!r}") from None
+
+
+def _field_d(text: str) -> int:
+    """A command-line d, checked by FieldDesc: a squarefree integer >= 2."""
+    try:
+        return FieldDesc(int(text)).d
+    except ValueError as exc:  # int()'s, or FieldDesc's QuadFieldError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _at_least(low: int):
+    """An argparse type for an integer >= low."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
 def _residues(text: str) -> set[int]:
@@ -358,17 +387,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="walk one field and report its classes")
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_field_d)
     p.add_argument("--json", action="store_true", help="emit one JSON record")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("scan", help="walk every squarefree d in a range")
-    p.add_argument("lo", type=int)
+    p.add_argument("lo", type=_at_least(2))
     p.add_argument("hi", type=int)
     p.add_argument(
         "--mod4", type=_residues, default="1,2,3", help="keep d with these residues mod 4"
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_scan)
@@ -388,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="A negative alpha or beta such as -5/28 reads as an option; "
         "put -- ahead of alpha and beta: oracle 7 -- 1/2 -5/28",
     )
-    p.add_argument("d", type=int)
+    p.add_argument("d", type=_field_d)
     p.add_argument("alpha", type=_rational, help="rational, as p or p/q")
     p.add_argument("beta", type=_rational, help="rational, as p or p/q")
     p.set_defaults(func=cmd_oracle)
@@ -408,10 +437,10 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except OSError as exc:  # an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # WalkError, PeriodError and the like, or a bug
+    except Exception as exc:  # input was checked while parsing and in the command: a bug
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import FieldDesc, FieldElem, QuadFieldError, is_squarefree
+from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, is_squarefree
 from .units import FundamentalUnit, fundamental_unit
 
 TAG_T1 = "T1"
@@ -34,14 +34,6 @@ _PREDICTED_COUNT = {
     TAG_FAM3: 3,
     TAG_NONE: None,
 }
-
-
-class HypothesisError(ValueError):
-    """The field or decomposition falls outside a constructor's hypotheses."""
-
-
-class InvariantError(RuntimeError):
-    """An identity that holds for all valid inputs failed; signals a bug."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +101,7 @@ def classify_unit_congruence(field: FieldDesc, unit: FundamentalUnit) -> DClass:
     Anything else is left unclassified rather than guessed.
     """
     if field.half_basis:
-        raise HypothesisError("unit congruence classes need d = 2, 3 (mod 4)")
+        raise QuadFieldError("unit congruence classes need d = 2, 3 (mod 4)")
     alpha, beta = unit.value.a, unit.value.b
     if alpha.denominator != 1 or beta.denominator != 1:
         raise InvariantError("fundamental unit is not integral")
@@ -152,11 +144,11 @@ def construct_a1_a2(field: FieldDesc) -> tuple[FieldElem, FieldElem]:
     needs d = 2, 3 (mod 4) and r != +-1.
     """
     if field.half_basis:
-        raise HypothesisError("constructors need d = 2, 3 (mod 4)")
+        raise QuadFieldError("constructors need d = 2, 3 (mod 4)")
     dec = nr_decompose(field.d)
     n, r = dec.n, dec.r
     if r in (1, -1):
-        raise HypothesisError(f"d = {field.d} has r = {r}; constructors need r != +-1")
+        raise QuadFieldError(f"d = {field.d} has r = {r}; constructors need r != +-1")
     a1 = FieldElem(
         field,
         Fraction(1, 2),
@@ -190,7 +182,7 @@ def predicted_minimal_set(
     root = field.sqrt_d()
     if which in ("a1", "a2"):
         if field.half_basis or r in (1, -1):
-            raise HypothesisError("predicted sets need d = 2, 3 (mod 4), r != +-1")
+            raise QuadFieldError("predicted sets need d = 2, 3 (mod 4), r != +-1")
         vecs = [field.one(), n - root]
         if r == -(n - 1):
             vecs.append(n - 1 - root)
@@ -198,12 +190,12 @@ def predicted_minimal_set(
             vecs = [y.conj() for y in vecs]
     elif which == "a3":
         if unit is None:
-            raise HypothesisError("a3 prediction needs the fundamental unit")
+            raise QuadFieldError("a3 prediction needs the fundamental unit")
         if unit.norm_sign != 1:
             raise InvariantError("three-class case requires a norm +1 unit")
         vecs = [n - root, unit.value.conj() * (n + root)]
     else:
-        raise ValueError(f"unknown representative {which!r}")
+        raise QuadFieldError(f"unknown representative {which!r}")
     return frozenset([y for v in vecs for y in (v, -v)])
 
 
@@ -231,11 +223,11 @@ def candidate_params(m: int, k: int, delta: int) -> FamilyParams:
     alpha^2 - d*beta^2 = 1 holds for every (m, k, delta), d square or not.
     """
     if m < 3 or m % 2 == 0:
-        raise HypothesisError(f"m must be odd >= 3, got {m}")
+        raise QuadFieldError(f"m must be odd >= 3, got {m}")
     if k < 0 or (k == 0 and delta != 1):
-        raise HypothesisError(f"k must be >= {1 if delta != 1 else 0}, got {k}")
+        raise QuadFieldError(f"k must be >= {1 if delta != 1 else 0}, got {k}")
     if delta not in (1, -1):
-        raise HypothesisError(f"delta must be +-1, got {delta}")
+        raise QuadFieldError(f"delta must be +-1, got {delta}")
     beta = m * (m + 2)
     l = k * beta + delta * (m + 1) // 2
     d = l * l - 2 * delta * k * (m + 1) - 1

@@ -3,7 +3,8 @@
 Elements are kept on the {1, sqrt(d)} basis with rational coordinates.
 Integrality is a predicate over the maximal order's basis {1, omega},
 where omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1 + sqrt(d))/2
-for d = 1 (mod 4).  No floating point is used anywhere.
+for d = 1 (mod 4).  No floating point is used anywhere.  Every module
+imports this one, so the package's three error kinds are defined here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,15 @@ Scalar = Union[int, Fraction]
 
 
 class QuadFieldError(ValueError):
-    """Domain error in field construction or element use."""
+    """An argument outside the domain of the function it was passed to."""
+
+
+class SizeLimitError(RuntimeError):
+    """A step cap was overrun: the input is too large, not wrong."""
+
+
+class InvariantError(RuntimeError):
+    """An identity that holds for all valid inputs failed; signals a bug."""
 
 
 def fraction_str(x: Fraction | int) -> str:

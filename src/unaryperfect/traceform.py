@@ -13,21 +13,15 @@ steps nor the minimal vectors.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .quadfield import FieldDesc, FieldElem
+from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, SizeLimitError
 
 _REDUCE_CAP = 10**6
-
-
-class NotPositiveDefiniteError(ValueError):
-    """The form (or the element behind it) is not positive definite."""
-
-
-class ReductionCapError(RuntimeError):
-    """Gauss reduction failed to terminate within the step cap."""
+_BOX_CAP = 10**7
 
 
 # -- integer kernel ------------------------------------------------------
@@ -75,7 +69,7 @@ def _reduce_ints(
             A, B, C = C, -B, A
             u00, u01 = u01, -u00
             u10, u11 = u11, -u10
-    raise ReductionCapError(f"no reduced form within {_REDUCE_CAP} steps")
+    raise InvariantError(f"no reduced form within {_REDUCE_CAP} steps")
 
 
 def _min_vectors_ints(
@@ -106,7 +100,7 @@ def _min_vectors_ints(
 def _scaled_form(x: FieldElem) -> tuple[int, int, int, int]:
     """(A, B, C, L): the trace form of x is (A, B, C)/L, with A, B, C ints."""
     if not x.is_totally_positive():
-        raise NotPositiveDefiniteError(f"{x} is not totally positive")
+        raise QuadFieldError(f"{x} is not totally positive")
     a, b = x.a, x.b
     L = lcm(a.denominator, b.denominator)
     p = a.numerator * (L // a.denominator)
@@ -158,10 +152,16 @@ def brute_force_min(x: FieldElem) -> MinData:
     """Independent minimum by direct search over a certified box.
 
     Never calls the reduction path, so it cross-checks min_data.  The box
-    holds (1, 0), of value A, so the search starts from that value.
+    holds (1, 0), of value A, so the search starts from that value.  The
+    box grows with the form's skew; one of more than _BOX_CAP points, a
+    search of seconds, raises SizeLimitError instead.
     """
     A, B, C, L = _scaled_form(x)
     ub, vb = certified_box(x)
+    points = (2 * ub + 1) * (vb + 1)
+    if points > _BOX_CAP:
+        size = decimal.Decimal(points)  # points may have too many digits for str()
+        raise SizeLimitError(f"certified box of {size:.2e} points > {_BOX_CAP}")
     best, vecs = A, []
     for v in range(0, vb + 1):
         for u in range(-ub, ub + 1):

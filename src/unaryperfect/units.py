@@ -33,17 +33,9 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
-from .quadfield import FieldDesc, FieldElem
+from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
 
 _STEP_CAP = 10**6
-
-
-class PeriodError(RuntimeError):
-    """The continued fraction broke an identity it must satisfy."""
-
-
-class SizeLimitError(RuntimeError):
-    """A step cap was overrun: the input is too large, not wrong."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,7 +77,7 @@ def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
             return q * q + q1 * q1, -1
         P, Q = P_next, Q_next
         q2, q1 = q1, q
-    raise PeriodError(f"period of d={d} closed without a centre")
+    raise InvariantError(f"period of d={d} closed without a centre")
 
 
 def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
@@ -107,7 +99,7 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     r = isqrt(r2)
     if r * r != r2:
         # c may have thousands of digits, too many for str(); leave it out
-        raise PeriodError(f"centre of the period of d={d} solves no norm equation")
+        raise InvariantError(f"centre of the period of d={d} solves no norm equation")
     if field.half_basis:
         value = FieldElem(field, Fraction(r, 2), Fraction(c, 2))
     else:

@@ -30,16 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .quadfield import FieldDesc, FieldElem, QuadFieldError, primitive_normalize
+from .quadfield import FieldDesc, FieldElem, primitive_normalize
+from .quadfield import InvariantError, QuadFieldError, SizeLimitError
 from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints
-from .units import FundamentalUnit, SizeLimitError, fundamental_unit, unit_square
+from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
-
-
-class WalkError(RuntimeError):
-    """The walk lost its footing; indicates bad input or a bug."""
 
 
 def _line_of_basis_vec(d: int, half: bool, u: int, v: int) -> tuple[int, int]:
@@ -100,7 +97,7 @@ def _below_boundary(d: int, denom: int) -> Fraction:
 def _basis_through(u: int, v: int) -> tuple[int, int, int, int]:
     """A unimodular basis whose first column is the primitive vector (u, v)."""
     if gcd(u, v) != 1:
-        raise WalkError(f"({u}, {v}) is not a primitive vector")
+        raise QuadFieldError(f"({u}, {v}) is not a primitive vector")
     if v == 0:
         return u, 0, 0, u
     b = pow(u, -1, abs(v))
@@ -138,7 +135,7 @@ def neighbor_step(
     p, q = pair
     norm = p * p - d * q * q
     if p <= 0 or norm <= 0:
-        raise WalkError(f"{pair} is not the ray of a totally positive form")
+        raise QuadFieldError(f"{pair} is not the ray of a totally positive form")
     s0 = Fraction(q, p)
     basis = _basis_through(*vec)
     active = a_ic, a_sc = _line_of_basis_vec(d, half, *vec)
@@ -173,11 +170,11 @@ def neighbor_step(
             if best is None or cross > best:
                 best = cross
         if best is None or not s0 < best < s_t:
-            raise WalkError(
+            raise QuadFieldError(
                 f"vector {vec} does not carry the envelope right of {pair}"
             )
         s_t = best
-    raise WalkError(f"no vertex within {_TRIAL_CAP} trials right of {pair}")
+    raise InvariantError(f"no vertex within {_TRIAL_CAP} trials right of {pair}")
 
 
 def _ray_times(d: int, ray: tuple[int, int], by: tuple[int, int]) -> tuple[int, int]:
@@ -265,7 +262,7 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     p, q = first.pair
     target = _ray_times(d, first.pair, primitive_normalize(eps2))
     if target[1] * p <= q * target[0]:
-        raise WalkError("squared unit failed to shift the start rightward")
+        raise InvariantError("squared unit failed to shift the start rightward")
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]

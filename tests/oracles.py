@@ -10,14 +10,13 @@ from fractions import Fraction
 from math import isqrt
 
 from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError
-from unaryperfect.traceform import NotPositiveDefiniteError
 from unaryperfect.units import FundamentalUnit
 
 
 def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, C) with Tr(x * (u + v*omega)^2) = A*u^2 + B*u*v + C*v^2."""
     if not x.is_totally_positive():
-        raise NotPositiveDefiniteError(f"{x} is not totally positive")
+        raise QuadFieldError(f"{x} is not totally positive")
     w = x.field.omega()
     return x.trace(), 2 * (x * w).trace(), (x * w * w).trace()
 

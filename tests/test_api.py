@@ -16,18 +16,13 @@ PUBLIC = [
     "FieldDesc",
     "FieldElem",
     "FundamentalUnit",
-    "HypothesisError",
     "InvariantError",
     "MinData",
     "NRDecomp",
-    "NotPositiveDefiniteError",
     "PerfectForm",
-    "PeriodError",
     "QuadFieldError",
-    "ReductionCapError",
     "RejectedCandidate",
     "SizeLimitError",
-    "WalkError",
     "WalkResult",
     "brute_force_min",
     "candidate_params",

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,9 +27,9 @@ from unaryperfect.cli import (
     squarefree_sieve,
 )
 from unaryperfect.family import classify
-from unaryperfect.quadfield import FieldDesc, is_squarefree
+from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
 from unaryperfect.units import fundamental_unit
-from unaryperfect.voronoi import PerfectForm, WalkError
+from unaryperfect.voronoi import PerfectForm
 
 
 def test_sieve_frozen():
@@ -45,7 +46,7 @@ def test_sieve_matches_trial_division():
 
 @pytest.mark.parametrize("lo,hi", [(1, 5), (0, 10), (10, 9), (-3, -1)])
 def test_sieve_rejects_bad_range(lo, hi):
-    with pytest.raises(ValueError):
+    with pytest.raises(QuadFieldError):
         squarefree_sieve(lo, hi)
 
 
@@ -215,9 +216,14 @@ def test_analyze_json(capsys):
     assert obj["classes"][1]["mu"] == 72
 
 
-def test_analyze_internal_failure_is_exit_3(monkeypatch, capsys):
+# analyze's d was checked by argparse, so whatever the library raises
+# afterwards, a ValueError included, is a bug
+@pytest.mark.parametrize(
+    "exc", [ValueError, QuadFieldError, InvariantError], ids=lambda e: e.__name__
+)
+def test_analyze_internal_failure_is_exit_3(monkeypatch, capsys, exc):
     def boom(d):
-        raise WalkError("synthetic")
+        raise exc("synthetic")
 
     monkeypatch.setattr(cli, "build_record", boom)
     assert main(["analyze", "7"]) == 3
@@ -295,10 +301,27 @@ def test_closed_stdout_exits_141_quietly(argv, head, unbuffered):
     assert err == b""
 
 
+# bad input, each with the words that stderr must use to name it
+BAD_INPUT = [
+    (["analyze", "4"], "argument d: d must be squarefree, got 4"),
+    (["analyze", "1"], "argument d: d must be >= 2, got 1"),
+    (["oracle", "4", "1", "0"], "argument d: d must be squarefree, got 4"),
+    (["oracle", "7", "--", "-1", "0"], "error: -1 is not totally positive"),
+    (["oracle", "7", "0", "0"], "error: 0 is not totally positive"),
+    (["scan", "1", "10"], "argument lo: must be at least 2, got 1"),
+    (["scan", "10", "2"], "error: need lo <= hi, got [10, 2]"),
+    (["scan", "5", "2"], "error: need lo <= hi, got [5, 2]"),
+    (["scan", "2", "10", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+]
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
-    assert main(["scan", "5", "2"]) == 2
     capsys.readouterr()
+    for argv, problem in BAD_INPUT:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert problem in err and "internal error" not in err, argv
     # argparse names the option that holds a bad residue list
     for mod4 in ("", ",", "a", "0,5"):
         assert main(["scan", "2", "30", "--mod4", mod4]) == 2
@@ -432,6 +455,17 @@ def test_verify_family_reports_colliding_representatives(monkeypatch, capsys):
     ]
 
 
+def test_verify_family_library_error_is_exit_3(monkeypatch, capsys):
+    # every accepted member meets the constructors' hypotheses, so a
+    # QuadFieldError from one is a bug, not bad input
+    def boom(field):
+        raise QuadFieldError("synthetic")
+
+    monkeypatch.setattr(cli, "construct_a1_a2", boom)
+    assert main(FAMILY_SMALL) == 3
+    assert "internal error: synthetic" in capsys.readouterr().err
+
+
 def test_verify_family_vacuous(capsys):
     assert main(["verify-family", "--d-cap", "100"]) == 0
     assert "vacuously passed" in capsys.readouterr().out
@@ -464,6 +498,15 @@ def test_oracle_help_names_the_separator(capsys):
     assert main(["oracle", "--help"]) == 0
     # argparse wraps help to the terminal's width
     assert "oracle 7 -- 1/2 -5/28" in " ".join(capsys.readouterr().out.split())
+
+
+def test_oversized_oracle_box_is_a_size_limit(capsys):
+    # this class of d = 1000003 has a certified box of about 4.4e14 points
+    start = time.perf_counter()
+    assert main(["oracle", "1000003", "889780003332002", "889778668665"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("size limit: certified box of 4.45e+14 points")
 
 
 def test_oracle_rejects_indefinite_input(capsys):

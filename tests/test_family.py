@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 from unaryperfect.family import (
     DClass,
     FamilyParams,
-    HypothesisError,
-    InvariantError,
     TAG_FAM3,
     TAG_NONE,
     TAG_RD2,
@@ -32,7 +30,7 @@ from unaryperfect.family import (
     predicted_a3_minimum,
     predicted_minimal_set,
 )
-from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
+from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
 from unaryperfect.traceform import min_data
 from unaryperfect.units import FundamentalUnit, fundamental_unit
 
@@ -125,7 +123,7 @@ def test_classify_unit_congruence_synthetic_branches():
 
 
 def test_classify_unit_congruence_guards():
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         classify_unit_congruence(FieldDesc(5), fundamental_unit(FieldDesc(5)))
     broken = FundamentalUnit(FieldDesc(7).element(Fraction(1, 3), 1), 1)
     with pytest.raises(InvariantError):
@@ -159,13 +157,13 @@ def test_construct_a1_a2_frozen(d, b):
 
 @pytest.mark.parametrize("d", [5, 13])  # d = 1 (mod 4)
 def test_construct_a1_a2_needs_sqrt_basis(d):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         construct_a1_a2(FieldDesc(d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 26])  # r = +-1
 def test_construct_a1_a2_needs_interior_r(d):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         construct_a1_a2(FieldDesc(d))
 
 
@@ -223,13 +221,13 @@ def test_predicted_minimal_sets_match_computation():
 
 
 def test_predicted_minimal_set_guards():
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         predicted_minimal_set("a1", FieldDesc(10))  # r = 1
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         predicted_minimal_set("a3", FieldDesc(1007))  # unit missing
     with pytest.raises(InvariantError):
         predicted_minimal_set("a3", FieldDesc(2), fundamental_unit(FieldDesc(2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(QuadFieldError):
         predicted_minimal_set("a7", FieldDesc(1007))
 
 
@@ -268,7 +266,7 @@ def test_pell_identity_holds_everywhere(m, k, delta):
     "m,k,delta", [(2, 1, 1), (1, 1, 1), (-3, 1, 1), (3, -1, 1), (3, 0, -1), (3, 1, 0)]
 )
 def test_candidate_params_guards(m, k, delta):
-    with pytest.raises(HypothesisError):
+    with pytest.raises(QuadFieldError):
         candidate_params(m, k, delta)
 
 

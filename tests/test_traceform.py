@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import trace_form
-from unaryperfect.quadfield import FieldDesc, is_squarefree
+from unaryperfect import traceform
+from unaryperfect.quadfield import FieldDesc, QuadFieldError, SizeLimitError, is_squarefree
+from unaryperfect.units import fundamental_unit, unit_square
 from unaryperfect.traceform import (
-    NotPositiveDefiniteError,
     brute_force_min,
     certified_box,
     min_data,
@@ -90,7 +91,7 @@ def test_trace_form_needs_totally_positive():
     # 1 - sqrt(2) < 0 under the real embedding; 0; -1/2
     for x in (F2.element(1, -1), F2.element(0), F2.element(Fraction(-1, 2))):
         for fn in (trace_form, _scaled_form, min_data, certified_box, brute_force_min):
-            with pytest.raises(NotPositiveDefiniteError):
+            with pytest.raises(QuadFieldError):
                 fn(x)
 
 
@@ -173,3 +174,21 @@ def test_certified_box_never_degenerate():
     F = FieldDesc(79)
     ub, vb = certified_box(F.element(9, 1))
     assert ub >= 1 and vb >= 1
+
+
+def test_brute_force_min_caps_its_box(monkeypatch):
+    # the certified box of 1/2 + (5/28)*sqrt(7) is 7 x 2 = 14 points
+    x = FieldDesc(7).element(Fraction(1, 2), Fraction(5, 28))
+    monkeypatch.setattr(traceform, "_BOX_CAP", 14)
+    assert brute_force_min(x) == min_data(x)
+    monkeypatch.setattr(traceform, "_BOX_CAP", 13)
+    with pytest.raises(SizeLimitError, match=r"^certified box of 1\.40e\+1 points"):
+        brute_force_min(x)
+
+
+def test_box_cap_message_past_the_str_digit_limit():
+    # eps^2000 has a box of about 10^4800 points, past int's str() limit
+    F = FieldDesc(7)
+    x = unit_square(fundamental_unit(F)) ** 1000
+    with pytest.raises(SizeLimitError, match=r"^certified box of \d\.\d\de\+\d{4} points"):
+        brute_force_min(x)

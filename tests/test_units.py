@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 from oracles import SearchExhaustedError, unit_brute_oracle
 from unaryperfect import units
 from unaryperfect.cli import squarefree_sieve
-from unaryperfect.quadfield import FieldDesc, QuadFieldError, is_squarefree
+from unaryperfect.quadfield import (
+    FieldDesc,
+    InvariantError,
+    QuadFieldError,
+    SizeLimitError,
+    is_squarefree,
+)
 from unaryperfect.units import (
     FundamentalUnit,
-    PeriodError,
-    SizeLimitError,
     fundamental_unit,
     unit_square,
     _period,
@@ -252,9 +256,9 @@ def test_step_cap_is_a_size_limit(monkeypatch):
         cf_sqrt(94)
 
 
-def test_failed_norm_square_is_a_period_error(monkeypatch):
+def test_failed_norm_square_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(units, "_centre_coefficient", lambda d, P, Q: (2, 1))
-    with pytest.raises(PeriodError):
+    with pytest.raises(InvariantError):
         fundamental_unit(FieldDesc(7))
 
 

@@ -13,6 +13,7 @@ import oracles
 from unaryperfect import traceform, voronoi
 from unaryperfect.quadfield import (
     FieldDesc,
+    InvariantError,
     QuadFieldError,
     is_squarefree,
     primitive_normalize,
@@ -20,7 +21,6 @@ from unaryperfect.quadfield import (
 from unaryperfect.traceform import min_data
 from unaryperfect.units import fundamental_unit, unit_square
 from unaryperfect.voronoi import (
-    WalkError,
     classes_equal,
     neighbor_step,
     walk_classes,
@@ -98,7 +98,7 @@ def test_below_boundary_is_tight(d, denom):
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
 def test_basis_through_completes_the_vector(u, v):
     if gcd(u, v) != 1:
-        with pytest.raises(WalkError):
+        with pytest.raises(QuadFieldError):
             _basis_through(u, v)
         return
     m00, m01, m10, m11 = _basis_through(u, v)
@@ -147,27 +147,34 @@ def test_neighbor_step_frozen():
 
 def test_neighbor_step_rejects_inactive_line():
     # 1 + sqrt(7) is not minimal at 14 + 5*sqrt(7)
-    with pytest.raises(WalkError):
+    with pytest.raises(QuadFieldError):
         neighbor_step(FieldDesc(7), (14, 5), (1, 1))
 
 
 @pytest.mark.parametrize("s0", [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 7)])
 def test_neighbor_step_rejects_slopes_outside_the_cone(s0):
     # no ceiling below 1/sqrt(7) passes these, so the search would never end
-    with pytest.raises(WalkError):
+    with pytest.raises(QuadFieldError):
         neighbor_step(FieldDesc(7), (s0.denominator, s0.numerator), (1, 0))
 
 
 @pytest.mark.parametrize("pair", [(0, 0), (-14, -5), (-1, 0)])
 def test_neighbor_step_rejects_rays_of_no_positive_p(pair):
-    with pytest.raises(WalkError):
+    with pytest.raises(QuadFieldError):
         neighbor_step(FieldDesc(7), pair, (1, 0))
 
 
 @pytest.mark.parametrize("vec", [(2, 0), (0, 0), (3, -3), (0, 2)])
 def test_neighbor_step_rejects_vectors_that_are_not_primitive(vec):
-    with pytest.raises(WalkError):
+    with pytest.raises(QuadFieldError):
         neighbor_step(FieldDesc(7), (14, 5), vec)
+
+
+def test_trial_cap_overrun_is_an_invariant_error(monkeypatch):
+    # a valid step always meets its vertex, so running out of trials is a bug
+    monkeypatch.setattr(voronoi, "_TRIAL_CAP", 1)
+    with pytest.raises(InvariantError, match=r"no vertex within 1 trials right of \(1, 0\)"):
+        walk_classes(FieldDesc(7))
 
 
 def test_walk_work_is_flat_along_the_period(monkeypatch):
