@@ -1,11 +1,12 @@
 """Command line front end: field reports, range scans, family checks.
 
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
-input, checked where it enters, an unwritable --out, or a SizeLimitError
-(a step cap of the continued fraction or the walk, or the oracle's box);
-3 any other exception, which after those checks is a bug; 141 stdout was
-closed by its reader (128 + SIGPIPE, as a shell reports a filter killed
-by that signal).
+input, checked where it enters, an unwritable --out, or a size limit (a
+SizeLimitError from a step cap of the continued fraction or the walk, or
+the oracle's box, or a MemoryError); 3 any other exception, which after
+those checks is a bug, reported with its type and traceback; 141 stdout
+was closed by its reader (128 + SIGPIPE, as a shell reports a filter
+killed by that signal).
 Scan output is deterministic: records are emitted in ascending d and
 all vector lists are sorted, so reruns and different worker counts
 produce identical bytes.
@@ -406,9 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify-family",
         help="check the three-class family's predictions against the walk",
     )
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--k-max", type=int, default=4)
-    p.add_argument("--d-cap", type=int, default=20000)
+    p.add_argument("--m-max", type=_at_least(0), default=5)
+    p.add_argument("--k-max", type=_at_least(0), default=4)
+    p.add_argument("--d-cap", type=_at_least(0), default=20000)
     p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser(
@@ -437,11 +438,17 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # a range or a field too large for this machine
+        print("size limit: out of memory", file=sys.stderr)
+        return 2
     except OSError as exc:  # an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # input was checked while parsing and in the command: a bug
-        print(f"internal error: {exc}", file=sys.stderr)
+        import traceback  # imported here: only a bug needs it
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

@@ -17,7 +17,6 @@ from typing import Union
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 Scalar = Union[int, Fraction]
 
@@ -102,12 +101,6 @@ class FieldDesc:
     def sqrt_d(self) -> FieldElem:
         return FieldElem(self, _ZERO, _ONE)
 
-    def omega(self) -> FieldElem:
-        """Second generator of the integral basis {1, omega}."""
-        if self.half_basis:
-            return FieldElem(self, _HALF, _HALF)
-        return FieldElem(self, _ZERO, _ONE)
-
     def element(self, a: Scalar, b: Scalar = 0) -> FieldElem:
         return FieldElem(self, Fraction(a), Fraction(b))
 
@@ -172,35 +165,6 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> FieldElem:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return FieldElem(self.field, self.a / n, -self.b / n)
-
-    def __truediv__(self, other) -> FieldElem:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, n: int) -> FieldElem:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
     # -- field invariants ----------------------------------------------
 
     def conj(self) -> FieldElem:
@@ -212,17 +176,6 @@ class FieldElem:
 
     def norm(self) -> Fraction:
         return self.a * self.a - self.field.d * self.b * self.b
-
-    def real_sign(self) -> int:
-        """Sign under the embedding sending sqrt(d) to the positive root."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sa == sb or sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        # mixed signs: the larger square wins (equality needs d square)
-        return sa if self.a * self.a > self.field.d * self.b * self.b else sb
 
     def is_totally_positive(self) -> bool:
         """Positive under both real embeddings."""

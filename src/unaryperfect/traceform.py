@@ -78,20 +78,10 @@ def _min_vectors_ints(
     """Minimum and minimal vectors (up to sign) of a reduced integer form.
 
     For a reduced form the minimum is A, and disc >= 3*A*C squeezes the
-    search box for value <= A down to |u|, |v| <= 1.
+    search box for value <= A down to |u|, |v| <= 1, so the candidates
+    are (1, 0), of value A, and (u, 1) for u = -1, 0, 1.
     """
-    disc = 4 * A * C - B * B
-    ub = isqrt(4 * C * A // disc)
-    vb = isqrt(4 * A * A // disc)
-    best = A
-    vecs = []
-    for v in range(0, vb + 1):
-        for u in range(-ub, ub + 1):
-            if v == 0 and u <= 0:
-                continue
-            if A * u * u + B * u * v + C * v * v == best:
-                vecs.append((u, v))
-    return best, tuple(vecs)
+    return A, ((1, 0),) + tuple((u, 1) for u in (-1, 0, 1) if A * u * u + B * u + C == A)
 
 
 # -- forms of field elements ----------------------------------------------

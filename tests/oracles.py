@@ -2,8 +2,9 @@
 
 Each oracle reaches its answer by a route the library does not use: the
 trace form and class identity by field arithmetic instead of integer
-scaling and ray labels, and the fundamental unit by exhaustive search
-instead of continued fractions.
+scaling and ray labels, the fundamental unit by exhaustive search
+instead of continued fractions, and the classes as the edges of a
+convex hull instead of a probe walk.
 """
 
 from fractions import Fraction
@@ -17,8 +18,33 @@ def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
     """(A, B, C) with Tr(x * (u + v*omega)^2) = A*u^2 + B*u*v + C*v^2."""
     if not x.is_totally_positive():
         raise QuadFieldError(f"{x} is not totally positive")
-    w = x.field.omega()
+    w = x.field.from_basis_coords(0, 1)
     return x.trace(), 2 * (x * w).trace(), (x * w * w).trace()
+
+
+def real_sign(x: FieldElem) -> int:
+    """Sign under the embedding sending sqrt(d) to the positive root."""
+    sa = (x.a > 0) - (x.a < 0)
+    sb = (x.b > 0) - (x.b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    # mixed signs: the larger square wins (equality needs d square)
+    return sa if x.a * x.a > x.field.d * x.b * x.b else sb
+
+
+def power(x: FieldElem, n: int) -> FieldElem:
+    """x**n by repeated squaring; a negative n inverts x as conj(x)/norm(x)."""
+    if n < 0:
+        x, n = x.conj() * (1 / x.norm()), -n
+    result = x.field.one()
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 def slope(x: FieldElem) -> Fraction:
@@ -95,3 +121,53 @@ def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:
                     value = FieldElem(field, Fraction(x), Fraction(y))
                     return FundamentalUnit(value, sign)
     raise SearchExhaustedError(f"no unit for d={d} within bound {bound}")
+
+
+def hull_edges(d: int) -> list[tuple[int, int]]:
+    """Rays (p, q) of the lower hull edges of the relative minima over one period.
+
+    The relative minima of the maximal order from 1 to the fundamental
+    unit are y_0 = 1 and y_k = p_{k-1} - q_{k-1}*omega' for k = 1 .. L,
+    with p_k/q_k the convergents of omega and L its period.  Each y is
+    taken to the integer point (a, b) with (2y)^2 = a + b*sqrt(d), and a
+    monotone chain keeps the hull.  Collinear points are popped, so an
+    edge through three points is one class.  The edge from P_0 to P_1
+    spans the class of sqrt(d)*(y_1^2 - y_0^2), whose ray is
+    d*(b1 - b0) + (a1 - a0)*sqrt(d).
+    """
+    s = isqrt(d)
+    half = d % 4 == 1
+
+    def point(p: int, q: int) -> tuple[int, int]:
+        if half:  # omega' = (1 - sqrt(d))/2, so 2y = (2p - q) + q*sqrt(d)
+            u = 2 * p - q
+            return u * u + d * q * q, 2 * u * q
+        return 4 * (p * p + d * q * q), 8 * p * q  # omega' = -sqrt(d)
+
+    # omega = (P + sqrt(d))/Q; each complete quotient keeps Q | d - P^2
+    P, Q = (1, 2) if half else (0, 1)
+    a = (P + s) // Q
+    p0, p1, q0, q1 = 1, a, 0, 1
+    P = a * Q - P
+    Q = (d - P * P) // Q
+    first = (P, Q)
+    points = [point(1, 0)]
+    while True:
+        points.append(point(p1, q1))
+        a = (P + s) // Q
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        if (P, Q) == first:
+            break
+
+    hull: list[tuple[int, int]] = []
+    for a2, b2 in points:
+        while len(hull) >= 2:
+            (a0, b0), (a1, b1) = hull[-2], hull[-1]
+            if (b1 - b0) * (a2 - a0) - (a1 - a0) * (b2 - b0) > 0:
+                break
+            hull.pop()
+        hull.append((a2, b2))
+    return [(d * (b1 - b0), a1 - a0) for (a0, b0), (a1, b1) in zip(hull, hull[1:])]

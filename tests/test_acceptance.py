@@ -10,7 +10,14 @@ import time
 from fractions import Fraction
 from math import isqrt
 
-from oracles import SearchExhaustedError, trace_form, unit_brute_oracle
+from oracles import (
+    SearchExhaustedError,
+    hull_edges,
+    power,
+    real_sign,
+    trace_form,
+    unit_brute_oracle,
+)
 from unaryperfect.cli import squarefree_sieve
 from unaryperfect.family import (
     TAG_FAM3,
@@ -264,7 +271,7 @@ def test_criterion_6_units_match_the_exhaustive_oracle():
             assert BIG_Y[d] == y, d
             value = unit.value
             assert value.is_integral() and value.norm() == unit.norm_sign
-            assert (value - 1).real_sign() > 0
+            assert real_sign(value - 1) > 0
             try:
                 unit_brute_oracle(field, isqrt(y) + 1)
             except SearchExhaustedError:
@@ -309,7 +316,7 @@ def test_criterion_7_invariance_and_symmetry():
         shifted = min_data(x * eps2)
         assert shifted.mu == base.mu
         # z attains the minimum of x*eps^2 exactly when eps*z attains it for x
-        inv = fundamental_unit(field).value.inverse()
+        inv = power(fundamental_unit(field).value, -1)
         assert shifted.vectors == frozenset(y * inv for y in base.vectors)
         assert (len(shifted.vectors) >= 4) == (len(base.vectors) >= 4)
         done += 1
@@ -332,3 +339,23 @@ def test_criterion_7_invariance_and_symmetry():
                 for other in walk.classes
             ), d
     _passed(7, f"60 random forms, {len(sample)} walks closed and symmetric", t0)
+
+
+def test_criterion_8_hull_edges_are_the_walked_classes():
+    """Over every squarefree d in [2, 3000]: the lower hull of the
+    relative minima over one unit period, an exact oracle independent of
+    the walk, has one edge per walked class, and the edges' rays meet
+    every class once."""
+    t0 = time.monotonic()
+    ds = squarefree_sieve(2, 3000)
+    classes = 0
+    for d in ds:
+        walk = _walk(d)
+        edges = hull_edges(d)
+        assert len(edges) == walk.class_count, d
+        hits = [walk.class_index(walk.field.element(p, q)) for p, q in edges]
+        assert None not in hits, d
+        assert sorted(hits) == list(range(walk.class_count)), d
+        classes += len(edges)
+    assert len(ds) == 1823 and classes == 24805
+    _passed(8, f"{len(ds)} fields, {classes} hull edges, one per class", t0)

@@ -227,7 +227,10 @@ def test_analyze_internal_failure_is_exit_3(monkeypatch, capsys, exc):
 
     monkeypatch.setattr(cli, "build_record", boom)
     assert main(["analyze", "7"]) == 3
-    assert "internal error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a bug names itself: its type, its message and where it was raised
+    assert f"internal error: {exc.__name__}: synthetic" in err
+    assert "Traceback (most recent call last):" in err
 
 
 def test_step_cap_overrun_is_exit_2(monkeypatch, capsys):
@@ -235,6 +238,17 @@ def test_step_cap_overrun_is_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(units, "_STEP_CAP", 2)
     assert main(["analyze", "94"]) == 2
     assert "size limit:" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_a_size_limit(monkeypatch, capsys):
+    # the sieve allocates a byte per integer of the range before any work
+    def no_memory(lo, hi):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "squarefree_sieve", no_memory)
+    assert main(["scan", "2", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "size limit: out of memory\n"
 
 
 def test_walk_cap_overrun_is_exit_2(monkeypatch, capsys):
@@ -312,6 +326,9 @@ BAD_INPUT = [
     (["scan", "10", "2"], "error: need lo <= hi, got [10, 2]"),
     (["scan", "5", "2"], "error: need lo <= hi, got [5, 2]"),
     (["scan", "2", "10", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+    (["verify-family", "--m-max", "-5"], "argument --m-max: must be at least 0, got -5"),
+    (["verify-family", "--k-max", "-1"], "argument --k-max: must be at least 0, got -1"),
+    (["verify-family", "--d-cap", "-1"], "argument --d-cap: must be at least 0, got -1"),
 ]
 
 
@@ -463,7 +480,7 @@ def test_verify_family_library_error_is_exit_3(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "construct_a1_a2", boom)
     assert main(FAMILY_SMALL) == 3
-    assert "internal error: synthetic" in capsys.readouterr().err
+    assert "internal error: QuadFieldError: synthetic" in capsys.readouterr().err
 
 
 def test_verify_family_vacuous(capsys):

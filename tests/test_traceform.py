@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import trace_form
+from oracles import power, trace_form
 from unaryperfect import traceform
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, SizeLimitError, is_squarefree
 from unaryperfect.units import fundamental_unit, unit_square
@@ -189,6 +189,6 @@ def test_brute_force_min_caps_its_box(monkeypatch):
 def test_box_cap_message_past_the_str_digit_limit():
     # eps^2000 has a box of about 10^4800 points, past int's str() limit
     F = FieldDesc(7)
-    x = unit_square(fundamental_unit(F)) ** 1000
+    x = power(unit_square(fundamental_unit(F)), 1000)
     with pytest.raises(SizeLimitError, match=r"^certified box of \d\.\d\de\+\d{4} points"):
         brute_force_min(x)
