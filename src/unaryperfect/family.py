@@ -106,6 +106,10 @@ def classify_unit_congruence(field: FieldDesc, unit: FundamentalUnit) -> DClass:
     if alpha.denominator != 1 or beta.denominator != 1:
         raise InvariantError("fundamental unit is not integral")
     alpha, beta = int(alpha), int(beta)
+    # the square of an even root is 0 mod 4; this skips the isqrt of a
+    # unit-sized beta in most fields
+    if (beta + 1) % 4:
+        return DClass(TAG_NONE)
     root = isqrt(beta + 1)
     if root * root != beta + 1 or root % 2 or root < 4:
         return DClass(TAG_NONE)

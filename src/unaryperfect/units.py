@@ -3,9 +3,14 @@
 For xi = sqrt(d) or (1 + sqrt(d))/2, the complete quotient
 xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
 Galois's theorem its expansion [b_1, ..., b_L] is purely periodic.
-Writing xi_j = (P_j + sqrt(d))/Q_j, one exact integer recurrence
-P_{j+1} = b_j*Q_j - P_j, Q_{j+1} = (d - P_{j+1}^2)/Q_j carries the
-period; `_period` runs it until (P, Q) returns.
+Writing xi_j = (P_j + sqrt(d))/Q_j, the exact integer recurrence
+
+    b_j = floor((P_j + isqrt(d))/Q_j),  P_{j+1} = b_j*Q_j - P_j,
+    Q_{j+1} = Q_{j-1} + b_j*(P_j - P_{j+1})
+
+carries the period.  The last line is Q_{j+1} = (d - P_{j+1}^2)/Q_j
+without the division: subtract Q_j*Q_{j-1} = d - P_j^2 and use
+P_j + P_{j+1} = b_j*Q_j.  It is seeded with Q_0 = (d - P_1^2)/Q_1.
 
 The fundamental unit of Z[xi] is q_{L-1}*xi + q_L - a0*q_{L-1}, where
 q_{-1} = 0, q_0 = 1, q_j = b_j*q_{j-1} + q_{j-2} are the convergent
@@ -24,6 +29,18 @@ split at the centre, with the reversed halves equal.  The unit's norm
 is N = (-1)^L, and its rational part is one exact square root of the
 norm equation: eps = r + c*sqrt(d) with r^2 = d*c^2 + N, or
 eps = (r + c*sqrt(d))/2 with r^2 = d*c^2 + 4N when d = 1 (mod 4).
+
+The q_j grow to the size of the unit, thousands of digits at
+d = 10^8, while the b_j are small.  So the loop does not add a
+quotient into the big pair (q_{j-1}, q_{j-2}) at each step.  It keeps
+the product of the quotient matrices ((b, 1), (1, 0)) since the last
+fold as a 2x2 block of machine-size integers, and folds the block
+into the big pair once its top-left entry, the largest, passes 2^60.
+Below that bound every entry fits in two of CPython's 30-bit digits,
+so a step costs a few small multiplications, and the big integers
+are touched about once every 35 steps instead of at every step: q_j
+gains about 1.7 bits a step, as measured over the 400 squarefree d
+from 10^8.
 """
 
 from __future__ import annotations
@@ -31,11 +48,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator
 
 from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
 
 _STEP_CAP = 10**6
+_FOLD = 1 << 60  # the block folds into the big pair past this (module docstring)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,38 +63,38 @@ class FundamentalUnit:
     norm_sign: int
 
 
-def _period(d: int, P: int, Q: int) -> Iterator[tuple[int, int, int]]:
-    """(b_j, P_{j+1}, Q_{j+1}) along one period of the reduced surd (P + sqrt(d))/Q.
+def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
+    """(q_{L-1}, (-1)^L) for the reduced surd (P + sqrt(d))/Q, from half its period.
 
-    Q must be positive and divide d - P^2; both stay so along the period.
-    The caller may stop early; _STEP_CAP bounds the steps actually taken.
+    The package's one period loop.  (q1, q2) is (q_{j-1}, q_{j-2}) at the
+    last fold, and the block ((x0, y0), (x1, y1)) the quotient matrices
+    since then, so that q_{j-1} = x0*q1 + y0*q2 and q_{j-2} = x1*q1 + y1*q2.
+    The palindrome puts the centre before the first state comes back, so
+    the loop does not test for the period closing; _STEP_CAP bounds it.
     """
     s = isqrt(d)
-    P1, Q1 = P, Q
+    Q_prev = (d - P * P) // Q
+    q1, q2 = 1, 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
     for _ in range(_STEP_CAP):
         a = (P + s) // Q
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        yield a, P, Q
-        if P == P1 and Q == Q1:
-            return
-    raise SizeLimitError(f"no period within {_STEP_CAP} steps for d={d}")
-
-
-def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
-    """(q_{L-1}, (-1)^L) for the reduced surd (P + sqrt(d))/Q, from half its period."""
-    q2, q1 = 0, 1  # q_{j-2}, q_{j-1}
-    for a, P_next, Q_next in _period(d, P, Q):
-        q = a * q1 + q2
-        if P_next == P:
+        P_next = a * Q - P
+        Q_next = Q_prev + a * (P - P_next)
+        if P_next == P or Q_next == Q:
+            q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
+            if P_next != P:
+                q = a * q1 + q2
+                return q * q + q1 * q1, -1
             if Q_next == Q:  # the first state again: L = 1
                 return 1, -1
-            return q1 * (q + q2), 1
-        if Q_next == Q:
-            return q * q + q1 * q1, -1
-        P, Q = P_next, Q_next
-        q2, q1 = q1, q
-    raise InvariantError(f"period of d={d} closed without a centre")
+            return q1 * (a * q1 + 2 * q2), 1  # q_j + q_{j-2} = a*q_{j-1} + 2*q_{j-2}
+        x0, x1 = a * x0 + x1, x0
+        y0, y1 = a * y0 + y1, y0
+        if x0 > _FOLD:
+            q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
+            x0, y0, x1, y1 = 1, 0, 0, 1
+        Q_prev, P, Q = Q, P_next, Q_next
+    raise SizeLimitError(f"no period within {_STEP_CAP} steps for d={d}")
 
 
 def fundamental_unit(field: FieldDesc) -> FundamentalUnit:

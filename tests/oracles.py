@@ -3,14 +3,16 @@
 Each oracle reaches its answer by a route the library does not use: the
 trace form and class identity by field arithmetic instead of integer
 scaling and ray labels, the fundamental unit by exhaustive search
-instead of continued fractions, and the classes as the edges of a
-convex hull instead of a probe walk.
+instead of continued fractions, the continued fraction over its whole
+period in division form instead of half of it without the division,
+and the classes as the edges of a convex hull instead of a probe walk.
 """
 
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
-from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError
+from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError, SizeLimitError
 from unaryperfect.units import FundamentalUnit
 
 
@@ -82,6 +84,26 @@ def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
         x = x * inverse
         s = slope(x)
     return s == lo
+
+
+def period_states(d: int, P: int, Q: int) -> Iterator[tuple[int, int, int]]:
+    """(b_j, P_{j+1}, Q_{j+1}) along one period of the reduced surd (P + sqrt(d))/Q.
+
+    The recurrence in division form, Q_{j+1} = (d - P_{j+1}^2)/Q_j, one
+    state at a time and over the whole period; the library's unit loop
+    runs it without the division and stops at the centre.  Q must be
+    positive and divide d - P^2; both stay so along the period.
+    """
+    s = isqrt(d)
+    P1, Q1 = P, Q
+    for _ in range(10**6):
+        a = (P + s) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        yield a, P, Q
+        if P == P1 and Q == Q1:
+            return
+    raise SizeLimitError(f"no period within 10**6 steps for d={d}")
 
 
 class SearchExhaustedError(RuntimeError):

@@ -120,6 +120,10 @@ def test_classify_unit_congruence_synthetic_branches():
     assert classify_unit_congruence(FieldDesc(26), u(26, 224, 15, 1)) == DClass(TAG_NONE)
     # residue matching neither branch
     assert classify_unit_congruence(FieldDesc(223), u(223, 240, 15, 1)) == DClass(TAG_NONE)
+    # beta + 1 = 9 is an odd square: the mod-4 filter rejects it
+    assert classify_unit_congruence(FieldDesc(223), u(223, 240, 8, 1)) == DClass(TAG_NONE)
+    # beta + 1 = 12 passes the filter but is no square
+    assert classify_unit_congruence(FieldDesc(223), u(223, 240, 11, 1)) == DClass(TAG_NONE)
 
 
 def test_classify_unit_congruence_guards():

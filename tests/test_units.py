@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SearchExhaustedError, power, real_sign, unit_brute_oracle
+from oracles import SearchExhaustedError, period_states, power, real_sign, unit_brute_oracle
 from unaryperfect import units
 from unaryperfect.cli import squarefree_sieve
 from unaryperfect.quadfield import (
@@ -24,7 +24,6 @@ from unaryperfect.units import (
     FundamentalUnit,
     fundamental_unit,
     unit_square,
-    _period,
 )
 
 SQUAREFREE = [d for d in range(2, 400) if is_squarefree(d)]
@@ -73,9 +72,9 @@ UNIT_TABLE = {
 
 
 def cf_sqrt(d):
-    """(a0, period) of sqrt(d), from the recurrence that fundamental_unit runs."""
+    """(a0, period) of sqrt(d), from the division-form recurrence of the oracle."""
     a0 = isqrt(d)
-    return a0, tuple(a for a, _, _ in _period(d, a0, d - a0 * a0))
+    return a0, tuple(a for a, _, _ in period_states(d, a0, d - a0 * a0))
 
 
 @pytest.mark.parametrize("d,expected", sorted(CF_TABLE.items()))
@@ -84,7 +83,7 @@ def test_cf_sqrt_frozen(d, expected):
 
 
 def test_cf_sqrt_accepts_nonsquarefree():
-    # _period needs only Q > 0 dividing d - P^2, not a squarefree d
+    # the recurrence needs only Q > 0 dividing d - P^2, not a squarefree d
     assert cf_sqrt(8) == (2, (1, 4))
 
 
@@ -170,7 +169,7 @@ def test_stabilizer_fixes_sqrt(d):
 def test_stabilizer_fixes_half_surd(d):
     a0 = (1 + isqrt(d)) // 2
     P = 2 * a0 - 1
-    period = tuple(a for a, _, _ in _period(d, P, (d - P * P) // 2))
+    period = tuple(a for a, _, _ in period_states(d, P, (d - P * P) // 2))
     assert period[-1] == 2 * a0 - 1
     assert period[:-1] == period[-2::-1]
     A, B, C, D = _stabilizer(a0, period)
@@ -196,7 +195,7 @@ def _full_period_unit(field):
     """The unit from the whole period: q_{L-1}*omega + q_L - a0*q_{L-1}."""
     a0, P, Q = _omega_surd(field)
     q_prev, q = 0, 1
-    for a, _, _ in _period(field.d, P, Q):
+    for a, _, _ in period_states(field.d, P, Q):
         q_prev, q = q, a * q + q_prev
     value = field.from_basis_coords(q - a0 * q_prev, q_prev)
     n = value.norm()
@@ -224,6 +223,58 @@ def test_centre_rule_matches_full_period_near_1e8():
     assert mismatches == []
 
 
+@pytest.mark.parametrize("d", [1000000006, 10000000003, 10000000006, 1000000009])
+def test_centre_rule_matches_full_period_on_large_units(d):
+    # units of 78k-109k bits, so the loop folds its block thousands of
+    # times; both bases and both norm signs (only 1000000009 has norm -1)
+    field = FieldDesc(d)
+    assert fundamental_unit(field) == _full_period_unit(field)
+
+
+def _continuant(word):
+    q_prev, q = 0, 1
+    for a in word:
+        q_prev, q = q, a * q + q_prev
+    return q
+
+
+def _surd_with_period(word):
+    """d with sqrt(d) = [a0; word, 2*a0], for a palindromic word.
+
+    Perron: d = a0^2 + (2*a0*K(b_1..b_{n-1}) + K(b_2..b_{n-1}))/K(b_1..b_n),
+    with a0 the least residue that makes d an integer.  That needs an odd
+    K(b_1..b_n); the test checks the quotients it relies on.
+    """
+    k, k_head, k_mid = _continuant(word), _continuant(word[:-1]), _continuant(word[1:-1])
+    a0 = -k_mid * pow(2 * k_head, -1, k) % k
+    return a0 * a0 + (2 * a0 * k_head + k_mid) // k
+
+
+HALF_WORD = (2**61, 2**61 + 1, 2**61 + 3, 2**61 + 5)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        2**140 + 2,  # sqrt(d) = [n; n, 2n] with n = 2^70: the centre is the first step
+        _surd_with_period(HALF_WORD + HALF_WORD[-2::-1]),  # L = 8: three folds, then P_5 = P_4
+        _surd_with_period(HALF_WORD + HALF_WORD[::-1]),  # L = 9: three folds, then Q_5 = Q_4
+    ],
+)
+def test_block_fold_on_quotients_past_the_threshold(d):
+    # every quotient passes 2^60, so the block folds on every step before
+    # the centre; FieldDesc cannot take these d, whose squarefree test
+    # trial-divides up to d^(1/3), so the loop is called on sqrt(d) itself
+    s = isqrt(d)
+    quotients = [a for a, _, _ in period_states(d, s, d - s * s)]
+    assert quotients[-1] == 2 * s
+    assert all(a > units._FOLD for a in quotients)
+    c, n = units._centre_coefficient(d, s, d - s * s)
+    assert (c, n) == (_continuant(quotients[:-1]), (-1) ** len(quotients))
+    r2 = d * c * c + n
+    assert isqrt(r2) ** 2 == r2
+
+
 # each case of the centre rule, with the period length L of the omega
 # surd; every case has a sqrt(d) and a (1 + sqrt(d))/2 field
 CENTRE_CASES = [
@@ -238,7 +289,7 @@ CENTRE_CASES = [
 def test_centre_rule_cases(d, length):
     field = FieldDesc(d)
     _, P, Q = _omega_surd(field)
-    assert sum(1 for _ in _period(d, P, Q)) == length
+    assert sum(1 for _ in period_states(d, P, Q)) == length
     got = fundamental_unit(field)
     assert got == _full_period_unit(field)
     assert got.norm_sign == (-1) ** length
@@ -252,8 +303,6 @@ def test_step_cap_is_a_size_limit(monkeypatch):
     monkeypatch.setattr(units, "_STEP_CAP", 7)
     with pytest.raises(SizeLimitError):
         fundamental_unit(FieldDesc(94))
-    with pytest.raises(SizeLimitError):
-        cf_sqrt(94)
 
 
 def test_failed_norm_square_is_an_invariant_error(monkeypatch):
