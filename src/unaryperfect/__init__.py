@@ -9,22 +9,19 @@ A walked class is one integer record, PerfectForm: its ray label (p, q),
 its minimum, and its minimal vectors as sorted basis coordinates over
 {1, omega} with both signs.  Only min_data and brute_force_min return
 field elements.
+
+__all__ is the documented surface: the README's Library section names
+each of its names.  The helpers behind them stay in their modules.
 """
 
 from .family import (
     DClass,
     FamilyParams,
     FamilyScan,
-    NRDecomp,
-    RejectedCandidate,
     classify,
-    classify_T,
-    classify_unit_congruence,
-    candidate_params,
     construct_a1_a2,
     construct_a3,
     generate_family,
-    nr_decompose,
     predicted_a3_minimum,
     predicted_minimal_set,
 )
@@ -34,11 +31,10 @@ from .quadfield import (
     InvariantError,
     QuadFieldError,
     SizeLimitError,
-    is_squarefree,
     primitive_normalize,
 )
 from .traceform import MinData, brute_force_min, min_data
-from .units import FundamentalUnit, fundamental_unit, unit_square
+from .units import FundamentalUnit, fundamental_unit
 from .voronoi import PerfectForm, WalkResult, classes_equal, walk_classes
 
 __version__ = "0.1.0"
@@ -52,28 +48,20 @@ __all__ = [
     "FundamentalUnit",
     "InvariantError",
     "MinData",
-    "NRDecomp",
     "PerfectForm",
     "QuadFieldError",
-    "RejectedCandidate",
     "SizeLimitError",
     "WalkResult",
     "brute_force_min",
-    "candidate_params",
     "classes_equal",
     "classify",
-    "classify_T",
-    "classify_unit_congruence",
     "construct_a1_a2",
     "construct_a3",
     "fundamental_unit",
     "generate_family",
-    "is_squarefree",
     "min_data",
-    "nr_decompose",
     "predicted_a3_minimum",
     "predicted_minimal_set",
     "primitive_normalize",
-    "unit_square",
     "walk_classes",
 ]

@@ -48,7 +48,9 @@ def squarefree_sieve(lo: int, hi: int) -> list[int]:
     if lo < 2 or hi < lo:
         raise QuadFieldError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
     n = hi - lo + 1
-    flags = bytearray([1]) * n
+    # a failed bytearray repeat leaves CPython printing a SystemError before
+    # the MemoryError; a failed bytes repeat raises the MemoryError alone
+    flags = bytearray(b"\x01" * n)
     for p in range(2, isqrt(hi) + 1):
         sq = p * p
         first = -lo % sq  # offset of the least multiple of sq that is >= lo
@@ -275,7 +277,7 @@ def cmd_scan(args) -> int:
 
 def cmd_verify_family(args) -> int:
     scan = generate_family(args.m_max, args.k_max, args.d_cap)
-    reasons = Counter(rej.reason for rej in scan.rejected)
+    reasons = Counter(reason for _, reason in scan.rejected)
     print(
         f"candidates: {len(scan.accepted) + len(scan.rejected)}, "
         f"accepted: {len(scan.accepted)}, rejected: {dict(sorted(reasons.items()))}"

@@ -36,15 +36,8 @@ _PREDICTED_COUNT = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class NRDecomp:
-    """d = n^2 + r with -n < r <= n; unique, n the nearest root."""
-
-    n: int
-    r: int
-
-
-def nr_decompose(d: int) -> NRDecomp:
+def nr_decompose(d: int) -> tuple[int, int]:
+    """(n, r) with d = n^2 + r and -n < r <= n; unique, n the nearest root."""
     if d < 2:
         raise QuadFieldError(f"d must be >= 2, got {d}")
     n = isqrt(d)
@@ -52,7 +45,7 @@ def nr_decompose(d: int) -> NRDecomp:
     if r > n:
         n += 1
         r = d - n * n
-    return NRDecomp(n, r)
+    return n, r
 
 
 def classify_T(d: int) -> str | None:
@@ -114,7 +107,8 @@ def classify_unit_congruence(field: FieldDesc, unit: FundamentalUnit) -> DClass:
     if root * root != beta + 1 or root % 2 or root < 4:
         return DClass(TAG_NONE)
     m = root - 1
-    if nr_decompose(field.d).r in (1, -1):
+    _, r = nr_decompose(field.d)
+    if r in (1, -1):
         return DClass(TAG_NONE)
     bb = beta * beta
     res = alpha % bb
@@ -149,8 +143,7 @@ def construct_a1_a2(field: FieldDesc) -> tuple[FieldElem, FieldElem]:
     """
     if field.half_basis:
         raise QuadFieldError("constructors need d = 2, 3 (mod 4)")
-    dec = nr_decompose(field.d)
-    n, r = dec.n, dec.r
+    n, r = nr_decompose(field.d)
     if r in (1, -1):
         raise QuadFieldError(f"d = {field.d} has r = {r}; constructors need r != +-1")
     a1 = FieldElem(
@@ -181,8 +174,7 @@ def predicted_minimal_set(
     the boundary r = -(n-1); a2 is the conjugate set; a3 (unit needed)
     gets {+-(n - sqrt(d)), +-conj(unit)*(n + sqrt(d))}.
     """
-    dec = nr_decompose(field.d)
-    n, r = dec.n, dec.r
+    n, r = nr_decompose(field.d)
     root = field.sqrt_d()
     if which in ("a1", "a2"):
         if field.half_basis or r in (1, -1):
@@ -249,15 +241,11 @@ def predicted_a3_minimum(params: FamilyParams) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class RejectedCandidate:
-    params: FamilyParams
-    reason: str
-
-
-@dataclass(frozen=True, slots=True)
 class FamilyScan:
+    """Accepted members, and each rejected candidate as (params, reason)."""
+
     accepted: tuple[FamilyParams, ...]
-    rejected: tuple[RejectedCandidate, ...]
+    rejected: tuple[tuple[FamilyParams, str], ...]
 
 
 def generate_family(m_max: int, k_max: int, d_cap: int) -> FamilyScan:
@@ -270,11 +258,7 @@ def generate_family(m_max: int, k_max: int, d_cap: int) -> FamilyScan:
     Pell solution need not be fundamental, so this is checked, not assumed.
     """
     accepted: list[FamilyParams] = []
-    rejected: list[RejectedCandidate] = []
-
-    def reject(params: FamilyParams, reason: str) -> None:
-        rejected.append(RejectedCandidate(params, reason))
-
+    rejected: list[tuple[FamilyParams, str]] = []
     for m in range(3, m_max + 1, 2):
         for k in range(0, k_max + 1):
             for delta in (1, -1):
@@ -283,24 +267,25 @@ def generate_family(m_max: int, k_max: int, d_cap: int) -> FamilyScan:
                 params = candidate_params(m, k, delta)
                 d = params.d
                 if d < 2:
-                    reject(params, "d below 2")
+                    rejected.append((params, "d below 2"))
                     continue
                 if d > d_cap:
-                    reject(params, "d above cap")
+                    rejected.append((params, "d above cap"))
                     continue
                 if not is_squarefree(d):
-                    reject(params, "d not squarefree")
+                    rejected.append((params, "d not squarefree"))
                     continue
                 if d % 4 == 1:
-                    reject(params, "d = 1 (mod 4)")
+                    rejected.append((params, "d = 1 (mod 4)"))
                     continue
-                if nr_decompose(d).r in (1, -1):
-                    reject(params, "r = +-1")
+                _, r = nr_decompose(d)
+                if r in (1, -1):
+                    rejected.append((params, "r = +-1"))
                     continue
                 field = FieldDesc(d)
                 unit = fundamental_unit(field)
                 if unit.value != field.element(params.alpha, params.beta):
-                    reject(params, "unit not fundamental")
+                    rejected.append((params, "unit not fundamental"))
                     continue
                 accepted.append(params)
     return FamilyScan(tuple(accepted), tuple(rejected))

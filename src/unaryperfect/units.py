@@ -1,6 +1,7 @@
 """Continued fractions of quadratic surds and fundamental units.
 
-For xi = sqrt(d) or (1 + sqrt(d))/2, the complete quotient
+Write g = 2 when d = 1 (mod 4) and g = 1 otherwise, so that the ring of
+integers is Z[xi] with xi = (g - 1 + sqrt(d))/g.  Its complete quotient
 xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
 Galois's theorem its expansion [b_1, ..., b_L] is purely periodic.
 Writing xi_j = (P_j + sqrt(d))/Q_j, the exact integer recurrence
@@ -27,8 +28,7 @@ Both values of c are the continuant identity
 K(b_1..b_n) = K(b_1..b_j)*K(b_{j+1}..b_n) + K(b_1..b_{j-1})*K(b_{j+2}..b_n)
 split at the centre, with the reversed halves equal.  The unit's norm
 is N = (-1)^L, and its rational part is one exact square root of the
-norm equation: eps = r + c*sqrt(d) with r^2 = d*c^2 + N, or
-eps = (r + c*sqrt(d))/2 with r^2 = d*c^2 + 4N when d = 1 (mod 4).
+norm equation: eps = (r + c*sqrt(d))/g with r^2 = d*c^2 + g^2*N.
 
 The q_j grow to the size of the unit, thousands of digits at
 d = 10^8, while the b_j are small.  So the loop does not add a
@@ -104,24 +104,17 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     of omega, in memory that grows only with the size of the unit.
     """
     d = field.d
-    s = isqrt(d)
-    if field.half_basis:
-        # omega = (1 + sqrt(d))/2, so xi_1 = (P + sqrt(d))/((d - P^2)/2)
-        P = 2 * ((1 + s) // 2) - 1
-        c, n = _centre_coefficient(d, P, (d - P * P) // 2)
-        r2 = d * c * c + 4 * n
-    else:
-        c, n = _centre_coefficient(d, s, d - s * s)
-        r2 = d * c * c + n
+    # omega = (g - 1 + sqrt(d))/g, so xi_1 = (P + sqrt(d))/((d - P^2)/g)
+    g = 2 if field.half_basis else 1
+    a0 = (g - 1 + isqrt(d)) // g
+    P = g * a0 - (g - 1)
+    c, n = _centre_coefficient(d, P, (d - P * P) // g)
+    r2 = d * c * c + g * g * n
     r = isqrt(r2)
     if r * r != r2:
         # c may have thousands of digits, too many for str(); leave it out
         raise InvariantError(f"centre of the period of d={d} solves no norm equation")
-    if field.half_basis:
-        value = FieldElem(field, Fraction(r, 2), Fraction(c, 2))
-    else:
-        value = FieldElem(field, Fraction(r), Fraction(c))
-    return FundamentalUnit(value, n)
+    return FundamentalUnit(FieldElem(field, Fraction(r, g), Fraction(c, g)), n)
 
 
 def unit_square(unit: FundamentalUnit) -> FieldElem:

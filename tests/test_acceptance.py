@@ -170,7 +170,7 @@ def test_criterion_4_a1_minimum_and_vector_law():
         d = rng.randrange(2, 20001)
         if not is_squarefree(d) or d % 4 == 1:
             continue
-        if nr_decompose(d).r in (1, -1):
+        if nr_decompose(d)[1] in (1, -1):
             continue
         chosen.add(d)
     boundary = []
@@ -183,7 +183,7 @@ def test_criterion_4_a1_minimum_and_vector_law():
 
     for d in sorted(chosen | set(boundary)):
         field = FieldDesc(d)
-        n, r = nr_decompose(d).n, nr_decompose(d).r
+        n, r = nr_decompose(d)
         a1, _ = construct_a1_a2(field)
         data = min_data(a1)
         assert data.mu == 1, d

@@ -1,13 +1,16 @@
-"""The package's public names, frozen so that a change to them is deliberate,
-and the names the benchmark's tracer binds."""
+"""The package's public names, frozen so that a change to them is deliberate
+and each documented in the README, and the names the benchmark's tracer binds."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import unaryperfect
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
+README = (ROOT / "README.md").read_text()
 
 PUBLIC = [
     "DClass",
@@ -18,35 +21,35 @@ PUBLIC = [
     "FundamentalUnit",
     "InvariantError",
     "MinData",
-    "NRDecomp",
     "PerfectForm",
     "QuadFieldError",
-    "RejectedCandidate",
     "SizeLimitError",
     "WalkResult",
     "brute_force_min",
-    "candidate_params",
     "classes_equal",
     "classify",
-    "classify_T",
-    "classify_unit_congruence",
     "construct_a1_a2",
     "construct_a3",
     "fundamental_unit",
     "generate_family",
-    "is_squarefree",
     "min_data",
-    "nr_decompose",
     "predicted_a3_minimum",
     "predicted_minimal_set",
     "primitive_normalize",
-    "unit_square",
     "walk_classes",
 ]
 
 
 def test_public_names_are_frozen():
     assert sorted(unaryperfect.__all__) == PUBLIC
+
+
+def test_public_names_are_in_the_readme_library_section():
+    (library,) = re.findall(r"^## Library\n(.*?)^## ", README, re.M | re.S)
+    missing = [
+        name for name in unaryperfect.__all__ if not re.search(rf"\b{name}\b", library)
+    ]
+    assert missing == []
 
 
 def test_public_names_resolve():

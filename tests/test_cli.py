@@ -16,6 +16,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import unaryperfect.cli as cli
 from unaryperfect import units, voronoi
 from unaryperfect.cli import (
@@ -285,6 +290,29 @@ def test_cli_does_not_load_multiprocessing():
         check=True,
     )
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_sieve_out_of_memory_reports_only_the_size_limit():
+    # a 1 GB sieve under a 400 MB address-space cap: stderr must hold the
+    # package's one line and nothing from the interpreter.  A failed
+    # bytearray repeat prints a SystemError only when a field it never
+    # initialised is nonzero, about 3 runs in 10 on CPython 3.11, so the
+    # check runs ten times
+    def cap_address_space():
+        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, hard))
+
+    for _ in range(10):
+        done = subprocess.run(
+            [sys.executable, "-m", "unaryperfect", "scan", "2", "1000000000"],
+            env=_package_env(),
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (2, "size limit: out of memory\n")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

@@ -45,15 +45,14 @@ def u(d, a, b, sign):
      (99, 10, -1), (223, 15, -2), (1007, 32, -17)],
 )
 def test_nr_decompose_frozen(d, n, r):
-    dec = nr_decompose(d)
-    assert (dec.n, dec.r) == (n, r)
+    assert nr_decompose(d) == (n, r)
 
 
 @given(st.integers(2, 10**9))
 def test_nr_decompose_is_the_nearest_square(d):
-    dec = nr_decompose(d)
-    assert d == dec.n * dec.n + dec.r
-    assert -dec.n < dec.r <= dec.n
+    n, r = nr_decompose(d)
+    assert d == n * n + r
+    assert -n < r <= n
 
 
 def test_nr_decompose_rejects_small():
@@ -173,7 +172,7 @@ def test_construct_a1_a2_needs_interior_r(d):
 
 VALID_DS = [
     d for d in range(2, 2000)
-    if is_squarefree(d) and d % 4 != 1 and nr_decompose(d).r not in (1, -1)
+    if is_squarefree(d) and d % 4 != 1 and nr_decompose(d)[1] not in (1, -1)
 ]
 
 
@@ -182,7 +181,7 @@ VALID_DS = [
 def test_a1_satisfies_the_defining_traces(d):
     field = FieldDesc(d)
     a1, a2 = construct_a1_a2(field)
-    n, r = nr_decompose(d).n, nr_decompose(d).r
+    n, r = nr_decompose(d)
     assert a1.is_totally_positive()
     assert a1.trace() == 1
     y = field.element(n, -1)
@@ -316,16 +315,16 @@ def test_interior_rays_stay_inside_the_cone(n, seed):
 def test_generate_family_frozen():
     scan = generate_family(3, 4, 20000)
     assert [p.d for p in scan.accepted] == [1007, 799, 3811, 3395]
-    reasons = sorted(rc.reason for rc in scan.rejected)
+    reasons = sorted(reason for _, reason in scan.rejected)
     assert reasons == sorted(["r = +-1"] + ["d not squarefree"] * 4)
-    assert sorted(rc.params.d for rc in scan.rejected) == [3, 176, 280, 1872, 2184]
+    assert sorted(params.d for params, _ in scan.rejected) == [3, 176, 280, 1872, 2184]
 
     scan = generate_family(5, 4, 20000)
     assert [p.d for p in scan.accepted] == [1007, 799, 3811, 3395, 11627, 10439]
-    assert Counter(rc.reason for rc in scan.rejected) == Counter(
+    assert Counter(reason for _, reason in scan.rejected) == Counter(
         {"d not squarefree": 10, "r = +-1": 1, "d above cap": 1}
     )
-    assert sorted(rc.params.d for rc in scan.rejected) == [
+    assert sorted(params.d for params, _ in scan.rejected) == [
         3, 8, 176, 280, 1035, 1431, 1872, 2184, 4512, 5304, 18816, 20400,
     ]
     assert all(is_squarefree(p.d) and p.d % 4 != 1 for p in scan.accepted)
