@@ -7,8 +7,17 @@ support line s -> Tr(y^2) + s*Tr(sqrt(d)*y^2), kept as the int pair
 piecewise-linear lower envelope of these lines.  Envelope vertices are
 exactly the perfect rays.  Multiplication by the squared fundamental
 unit shifts slopes strictly rightward and permutes vertices, so walking
-vertex to vertex until the start reappears translated lists every class
-once; the vertex count of one period is the class count.
+vertex to vertex from the first vertex right of 1 up to that vertex
+times eps^2 lists every class once; the vertex count of one period is
+the class count.
+
+The walk takes no step to reach that closing vertex T.  Since
+Tr(x*eps^2*z^2) = Tr(x*(eps*z)^2), the minimal vectors of T are eps^-1
+times those of the first vertex, a set computed once per field.  When
+the vector the walk would leave the last class along lies in that set,
+its line is minimal both there and at T; the envelope is concave and
+lies below the line, so it equals the line on the whole segment
+between them, and T is the next vertex.
 
 The walk runs on ints throughout: a vertex is recorded as its ray label
 (p, q), its minimum and its minimal vectors in basis coordinates, and
@@ -241,19 +250,40 @@ class WalkResult:
         return None
 
 
+def _closing_vectors(
+    field: FieldDesc, unit: FundamentalUnit, first: PerfectForm
+) -> frozenset[tuple[int, int]]:
+    """Minimal vectors of first*eps^2, in basis coordinates: eps^-1 times first's.
+
+    eps^-1 = N(eps)*eps' is integral, e0 + e1*omega, and each product
+    (u + v*omega)*(e0 + e1*omega) reduces omega^2 = t*omega + n: to d
+    for the sqrt(d) basis, to omega + (d - 1)/4 for the half basis.
+    first.min_vectors holds both signs, so the set does too.
+    """
+    e0, e1 = (unit.value.conj() * unit.norm_sign).basis_coords()
+    t, n = (1, (field.d - 1) // 4) if field.half_basis else (0, field.d)
+    return frozenset(
+        (u * e0 + n * v * e1, u * e1 + v * e0 + t * v * e1) for u, v in first.min_vectors
+    )
+
+
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
     Starts at the first vertex right of the rational ray (1, 0), where
     the minimum 2 is attained by +-1 alone, so the vector 1 carries the
-    envelope up to that vertex.  Walks right until the first vertex
-    returns multiplied by eps^2, which closes a full period; that target
-    is the first ray times the ray of eps^2.  Each step hands
-    neighbor_step the vertex's ray and the minimal vector whose line has
-    the smallest slope coefficient; that line carries the concave
-    envelope just right of the vertex.  Rays multiply as integer pairs
-    and compare by cross-multiplication, so the walk does no field
-    arithmetic.
+    envelope up to that vertex.  The period closes at the target T, the
+    first ray times the ray of eps^2.  Each step hands neighbor_step the
+    vertex's ray and the minimal vector whose line has the smallest
+    slope coefficient; that line carries the concave envelope just right
+    of the vertex.  Before the step, that vector is looked up among the
+    minimal vectors of T (_closing_vectors).  If it is one, its line is
+    minimal at the last class and at T; the concave envelope lies below
+    the line and meets it at both ends, so it follows the line between
+    them, T is the next vertex, and the walk stops with no step.  A step
+    that lands on T all the same means the test missed, a bug.  Rays
+    multiply as integer pairs and compare by cross-multiplication, so
+    the walk does no field arithmetic per step.
     """
     d, half = field.d, field.half_basis
     unit = fundamental_unit(field)
@@ -263,13 +293,16 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     target = _ray_times(d, first.pair, primitive_normalize(eps2))
     if target[1] * p <= q * target[0]:
         raise InvariantError("squared unit failed to shift the start rightward")
+    closing = _closing_vectors(field, unit, first)
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]
         vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(d, half, *y)[1])
+        if vec in closing:
+            return WalkResult(field, tuple(classes), unit, eps2)
         nxt = neighbor_step(field, last.pair, vec)
         if nxt.pair == target:
-            return WalkResult(field, tuple(classes), unit, eps2)
+            raise InvariantError("the period closed past the closing test")
         classes.append(nxt)
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 

@@ -1,6 +1,7 @@
 """Envelope vertices and the neighbour walk: frozen small fields plus
 structural invariants of whole walks."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from unaryperfect import traceform, voronoi
+from unaryperfect.family import generate_family
 from unaryperfect.quadfield import (
     FieldDesc,
     InvariantError,
@@ -245,13 +247,59 @@ def test_walk_invariants(d):
             assert not classes_equal(form(field, a), form(field, b), walk.eps2)
 
 
-@pytest.mark.parametrize("d", [2, 7, 13, 223])
+# 20 seeded members of the benchmark's family grid, d up to 2*10^9
+FAMILY_SAMPLE = sorted(
+    p.d for p in random.Random(18).sample(generate_family(41, 40, 10**14).accepted, 20)
+)
+CLOSING_SAMPLE = [d for d in range(2, 200) if is_squarefree(d)] + [223, 1394942] + FAMILY_SAMPLE
+
+
+def test_closing_sample_covers_both_bases_and_norm_signs():
+    fields = [FieldDesc(d) for d in CLOSING_SAMPLE]
+    assert {f.half_basis for f in fields} == {False, True}
+    assert {fundamental_unit(f).norm_sign for f in fields} == {1, -1}
+
+
+@pytest.mark.parametrize("d", CLOSING_SAMPLE)
 def test_walk_period_closes(d):
+    # the step the closing test saves lands on the first vertex times eps^2
     field = FieldDesc(d)
     walk = walk_classes(field)
     last = walk.classes[-1]
     nxt = neighbor_step(field, last.pair, rightward_vec(field, last))
     assert nxt.pair == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
+
+
+def _count_steps(monkeypatch):
+    """Wrap voronoi.neighbor_step; returns the list of rays each call leaves."""
+    left = []
+    step = voronoi.neighbor_step
+
+    def counted(field, pair, vec):
+        left.append(pair)
+        return step(field, pair, vec)
+
+    monkeypatch.setattr(voronoi, "neighbor_step", counted)
+    return left
+
+
+@pytest.mark.parametrize("d", [7, 223, 1007, FAMILY_SAMPLE[0]])
+def test_walk_takes_one_step_per_class(monkeypatch, d):
+    # the first step leaves (1, 0), each later one a class; none the last class
+    left = _count_steps(monkeypatch)
+    walk = walk_classes(FieldDesc(d))
+    assert len(left) == walk.class_count
+    assert left == [(1, 0)] + [c.pair for c in walk.classes[:-1]]
+
+
+def test_missed_closing_test_is_an_invariant_error(monkeypatch):
+    # with no closing vectors the step from the last class reaches the
+    # target; that must fail at once, not walk on to _WALK_CAP
+    monkeypatch.setattr(voronoi, "_closing_vectors", lambda *args: frozenset())
+    left = _count_steps(monkeypatch)
+    with pytest.raises(InvariantError, match="closed past the closing test"):
+        walk_classes(FieldDesc(7))
+    assert len(left) == 3
 
 
 @pytest.mark.parametrize("d", [7, 10, 79, 223])
