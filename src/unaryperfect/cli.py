@@ -234,6 +234,9 @@ def cmd_analyze(args) -> int:
 
 
 def _scan_worker(d: int) -> ScanRecord:
+    # The pool pickles the function it maps by reference.  This one looks up
+    # build_record in the worker, so a rebound build_record (the benchmark's
+    # per-field timer) is never pickled, which a rebound closure cannot be.
     return build_record(d)
 
 

@@ -1,10 +1,10 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
 Elements are kept on the {1, sqrt(d)} basis with rational coordinates.
-Integrality is a predicate over the maximal order's basis {1, omega},
-where omega = sqrt(d) for d = 2, 3 (mod 4) and omega = (1 + sqrt(d))/2
-for d = 1 (mod 4).  No floating point is used anywhere.  Every module
-imports this one, so the package's three error kinds are defined here.
+The ring of integers is Z[omega], omega = (t + sqrt(d))/g, omega^2 =
+t*omega + n, and every formula on that basis reads (g, t, n) from
+_omega.  No floating point is used anywhere.  Every module imports
+this one, so the package's three error kinds are defined here.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ def is_squarefree(d: int) -> bool:
     return r <= 1 or r * r != n
 
 
+def _omega(d: int) -> tuple[int, int, int]:
+    """(g, t, n) for the generator omega of the ring of integers of Q(sqrt(d))."""
+    if d % 4 == 1:
+        return 2, 1, (d - 1) // 4
+    return 1, 0, d
+
+
 @dataclass(frozen=True, slots=True)
 class FieldDesc:
     """The field Q(sqrt(d)) for a squarefree integer d >= 2."""
@@ -105,10 +112,9 @@ class FieldDesc:
         return FieldElem(self, Fraction(a), Fraction(b))
 
     def from_basis_coords(self, u: int, v: int) -> FieldElem:
-        """The integral element u + v*omega."""
-        if self.half_basis:
-            return FieldElem(self, u + Fraction(v, 2), Fraction(v, 2))
-        return FieldElem(self, Fraction(u), Fraction(v))
+        """The integral element u + v*omega = (u + t*v/g) + (v/g)*sqrt(d)."""
+        g, t, _ = _omega(self.d)
+        return FieldElem(self, Fraction(g * u + t * v, g), Fraction(v, g))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,24 +188,16 @@ class FieldElem:
         return self.a > 0 and self.a * self.a > self.field.d * self.b * self.b
 
     def is_integral(self) -> bool:
-        """Membership in the ring of integers."""
-        if self.field.half_basis:
-            ta, tb = 2 * self.a, 2 * self.b
-            return (
-                ta.denominator == 1
-                and tb.denominator == 1
-                and (ta.numerator - tb.numerator) % 2 == 0
-            )
-        return self.a.denominator == 1 and self.b.denominator == 1
+        """Membership in the ring of integers: g*b and a - t*b are integers."""
+        g, t, _ = _omega(self.field.d)
+        return (self.b * g).denominator == 1 and (self.a - self.b * t).denominator == 1
 
     def basis_coords(self) -> tuple[int, int]:
-        """Coordinates (u, v) with self = u + v*omega; integral elements only."""
+        """Coordinates (a - t*b, g*b) of self over {1, omega}; integral elements only."""
         if not self.is_integral():
             raise QuadFieldError(f"{self} is not integral")
-        if self.field.half_basis:
-            v = int(2 * self.b)
-            return int(self.a - self.b), v
-        return int(self.a), int(self.b)
+        g, t, _ = _omega(self.field.d)
+        return int(self.a - self.b * t), int(self.b * g)
 
     # -- rendering -------------------------------------------------------
 
@@ -226,9 +224,6 @@ def primitive_normalize(x: FieldElem) -> tuple[int, int]:
     """
     if not x.is_totally_positive():
         raise QuadFieldError(f"{x} is not totally positive")
-    da, db = x.a.denominator, x.b.denominator
-    scale = da * db // gcd(da, db)
-    p = x.a.numerator * (scale // da)
-    q = x.b.numerator * (scale // db)
+    p, q = x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator
     g = gcd(p, q)
     return p // g, q // g

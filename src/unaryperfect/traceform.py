@@ -3,11 +3,11 @@
 A totally positive x in Q(sqrt(d)) defines the positive definite binary
 quadratic form y -> Tr(x * y^2) on the ring of integers, written over the
 basis {1, omega}.  Everything runs on integer forms: x = a + b*sqrt(d) is
-scaled by L = lcm(den a, den b) to an integral element, whose trace form
-has integer coefficients and is L times the form of x.  That form is
+scaled to p + q*sqrt(d), the primitive label of its ray, whose trace form
+has integer coefficients and is p/a times the form of x.  That form is
 reduced by Gauss's algorithm with an exact round-to-nearest step, the
 minimum plus all minimal vectors are read off the reduced form, and the
-minimum is divided by L again.  Scaling changes neither the reduction
+minimum is divided by p/a again.  Scaling changes neither the reduction
 steps nor the minimal vectors.
 """
 
@@ -16,9 +16,10 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
-from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, SizeLimitError
+from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
+from .quadfield import _omega, primitive_normalize
 
 _REDUCE_CAP = 10**6
 _BOX_CAP = 10**7
@@ -30,12 +31,11 @@ _BOX_CAP = 10**7
 # on plain ints.  Rational elements are scaled through _scaled_form.
 
 
-def _trace_form_ints(d: int, half: bool, p: int, q: int) -> tuple[int, int, int]:
-    """Trace form of the integer element p + q*sqrt(d), as ints."""
-    if half:
-        # omega = (1 + sqrt(d))/2; d = 1 (mod 4) keeps everything integral
-        return 2 * p, 2 * (p + q * d), p + q * d + p * (d - 1) // 2
-    return 2 * p, 4 * q * d, 2 * p * d
+def _trace_form_ints(d: int, p: int, q: int) -> tuple[int, int, int]:
+    """(Tr(x), 2*Tr(x*omega), Tr(x*omega^2)) for the integer element x = p + q*sqrt(d)."""
+    g, t, n = _omega(d)
+    h = 2 * (t * p + d * q) // g  # Tr(x*omega); omega^2 = t*omega + n gives the last entry
+    return 2 * p, 2 * h, t * h + 2 * n * p
 
 
 def _round_nearest_even(num: int, den: int) -> int:
@@ -87,15 +87,10 @@ def _min_vectors_ints(
 # -- forms of field elements ----------------------------------------------
 
 
-def _scaled_form(x: FieldElem) -> tuple[int, int, int, int]:
-    """(A, B, C, L): the trace form of x is (A, B, C)/L, with A, B, C ints."""
-    if not x.is_totally_positive():
-        raise QuadFieldError(f"{x} is not totally positive")
-    a, b = x.a, x.b
-    L = lcm(a.denominator, b.denominator)
-    p = a.numerator * (L // a.denominator)
-    q = b.numerator * (L // b.denominator)
-    return (*_trace_form_ints(x.field.d, x.field.half_basis, p, q), L)
+def _scaled_form(x: FieldElem) -> tuple[int, int, int, Fraction]:
+    """(A, B, C, L): the form of x's primitive label p + q*sqrt(d), and L = p/a."""
+    p, q = primitive_normalize(x)
+    return (*_trace_form_ints(x.field.d, p, q), Fraction(p * x.a.denominator, x.a.numerator))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,7 +116,7 @@ def min_data(x: FieldElem) -> MinData:
     (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(A, B, C)
     m, vecs = _min_vectors_ints(Ar, Br, Cr)
     back = [(u00 * u + u01 * v, u10 * u + u11 * v) for u, v in vecs]
-    return MinData(Fraction(m, L), _vector_set(x.field, back))
+    return MinData(m / L, _vector_set(x.field, back))
 
 
 def certified_box(x: FieldElem) -> tuple[int, int]:
@@ -162,4 +157,4 @@ def brute_force_min(x: FieldElem) -> MinData:
                 best, vecs = val, [(u, v)]
             elif val == best:
                 vecs.append((u, v))
-    return MinData(Fraction(best, L), _vector_set(x.field, vecs))
+    return MinData(best / L, _vector_set(x.field, vecs))

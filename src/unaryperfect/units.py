@@ -1,7 +1,7 @@
 """Continued fractions of quadratic surds and fundamental units.
 
-Write g = 2 when d = 1 (mod 4) and g = 1 otherwise, so that the ring of
-integers is Z[xi] with xi = (g - 1 + sqrt(d))/g.  Its complete quotient
+The ring of integers is Z[xi] with xi = omega = (t + sqrt(d))/g, as
+quadfield._omega gives it.  Its complete quotient
 xi_1 = 1/(xi - a0) is reduced (xi_1 > 1 and -1 < xi_1' < 0), so by
 Galois's theorem its expansion [b_1, ..., b_L] is purely periodic.
 Writing xi_j = (P_j + sqrt(d))/Q_j, the exact integer recurrence
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
+from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError, _omega
 
 _STEP_CAP = 10**6
 _FOLD = 1 << 60  # the block folds into the big pair past this (module docstring)
@@ -104,10 +104,10 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     of omega, in memory that grows only with the size of the unit.
     """
     d = field.d
-    # omega = (g - 1 + sqrt(d))/g, so xi_1 = (P + sqrt(d))/((d - P^2)/g)
-    g = 2 if field.half_basis else 1
-    a0 = (g - 1 + isqrt(d)) // g
-    P = g * a0 - (g - 1)
+    # omega = (t + sqrt(d))/g, so xi_1 = (P + sqrt(d))/((d - P^2)/g)
+    g, t, _ = _omega(d)
+    a0 = (t + isqrt(d)) // g
+    P = g * a0 - t
     c, n = _centre_coefficient(d, P, (d - P * P) // g)
     r2 = d * c * c + g * g * n
     r = isqrt(r2)

@@ -3,13 +3,13 @@
 Totally positive rays are parametrised by the slope s of 1 + s*sqrt(d),
 s in (-1/sqrt(d), 1/sqrt(d)).  Each integral vector y contributes the
 support line s -> Tr(y^2) + s*Tr(sqrt(d)*y^2), kept as the int pair
-(intercept, slope_coef); the form's minimum mu(s) is the concave
-piecewise-linear lower envelope of these lines.  Envelope vertices are
-exactly the perfect rays.  Multiplication by the squared fundamental
-unit shifts slopes strictly rightward and permutes vertices, so walking
-vertex to vertex from the first vertex right of 1 up to that vertex
-times eps^2 lists every class once; the vertex count of one period is
-the class count.
+(intercept, slope_coef), the values at y of the trace forms of 1 and
+sqrt(d); the form's minimum mu(s) is the concave piecewise-linear lower
+envelope of these lines.  Envelope vertices are exactly the perfect
+rays.  Multiplication by the squared fundamental unit shifts slopes
+strictly rightward and permutes vertices, so walking vertex to vertex
+from the first vertex right of 1 up to that vertex times eps^2 lists
+every class once; the vertex count of one period is the class count.
 
 The walk takes no step to reach that closing vertex T.  Since
 Tr(x*eps^2*z^2) = Tr(x*(eps*z)^2), the minimal vectors of T are eps^-1
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .quadfield import FieldDesc, FieldElem, primitive_normalize
+from .quadfield import FieldDesc, FieldElem, _omega, primitive_normalize
 from .quadfield import InvariantError, QuadFieldError, SizeLimitError
 from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints
 from .units import FundamentalUnit, fundamental_unit, unit_square
@@ -48,27 +48,34 @@ _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
 
 
-def _line_of_basis_vec(d: int, half: bool, u: int, v: int) -> tuple[int, int]:
-    """(Tr(y^2), Tr(sqrt(d)*y^2)) for y = u + v*omega; both are integers."""
-    if half:
-        return 2 * u * u + 2 * u * v + v * v * (1 + d) // 2, (2 * u * v + v * v) * d
-    return 2 * (u * u + d * v * v), 4 * u * v * d
+def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
+    """The trace forms of 1 and sqrt(d), in one tuple; p + q*sqrt(d) has p, q times them."""
+    return _trace_form_ints(d, 1, 0) + _trace_form_ints(d, 0, 1)
 
 
-def _pair_data(d: int, half: bool, p: int, q: int, start: tuple[int, int, int, int]):
+def _line_of_basis_vec(forms: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
+    """(Tr(y^2), Tr(sqrt(d)*y^2)) for y = u + v*omega: the _support_forms at y."""
+    A0, B0, C0, A1, B1, C1 = forms
+    uu, uv, vv = u * u, u * v, v * v
+    return A0 * uu + B0 * uv + C0 * vv, A1 * uu + B1 * uv + C1 * vv
+
+
+def _pair_data(forms: tuple[int, ...], p: int, q: int, start: tuple[int, int, int, int]):
     """Minimum, minimal vectors, support lines and reduced basis of p + q*sqrt(d).
 
-    The trace form is first written over the unimodular basis `start`
-    (columns in basis coordinates) and reduced from there; the returned
-    basis is the composed change, reduced basis over {1, omega}.  A start
-    near the reduced basis of a nearby slope cuts the Gauss steps from
-    about the bit length of p to a handful; any unimodular start spans
-    the same lattice, so the minimum, vectors and lines do not depend on
-    it.  Vectors come back in basis coordinates, one per +-pair; opposite
+    The trace form, p and q times the _support_forms `forms`, is first
+    written over the unimodular basis `start` (columns in basis
+    coordinates) and reduced from there; the returned basis is the
+    composed change, reduced basis over {1, omega}.  A start near the
+    reduced basis of a nearby slope cuts the Gauss steps from about the
+    bit length of p to a handful; any unimodular start spans the same
+    lattice, so the minimum, vectors and lines do not depend on it.
+    Vectors come back in basis coordinates, one per +-pair; opposite
     vectors share a line, and distinct ones never do, so the line set
     sizes the vector set up to sign.
     """
-    A, B, C = _trace_form_ints(d, half, p, q)
+    A0, B0, C0, A1, B1, C1 = forms
+    A, B, C = p * A0 + q * A1, p * B0 + q * B1, p * C0 + q * C1
     m00, m01, m10, m11 = start
     triple, (u00, u01, u10, u11) = _reduce_ints(
         A * m00 * m00 + B * m00 * m10 + C * m10 * m10,
@@ -79,7 +86,7 @@ def _pair_data(d: int, half: bool, p: int, q: int, start: tuple[int, int, int, i
     r10, r11 = m10 * u00 + m11 * u10, m10 * u01 + m11 * u11
     m, vecs = _min_vectors_ints(*triple)
     coords = [(r00 * u + r01 * v, r10 * u + r11 * v) for u, v in vecs]
-    lines = {_line_of_basis_vec(d, half, u, v) for u, v in coords}
+    lines = {_line_of_basis_vec(forms, u, v) for u, v in coords}
     return m, coords, lines, (r00, r01, r10, r11)
 
 
@@ -140,14 +147,15 @@ def neighbor_step(
     the reduced basis of the trial before it, so a step costs the same
     few Gauss steps wherever it lies in the period.
     """
-    d, half = field.d, field.half_basis
+    d = field.d
     p, q = pair
     norm = p * p - d * q * q
     if p <= 0 or norm <= 0:
         raise QuadFieldError(f"{pair} is not the ray of a totally positive form")
     s0 = Fraction(q, p)
     basis = _basis_through(*vec)
-    active = a_ic, a_sc = _line_of_basis_vec(d, half, *vec)
+    forms = _support_forms(d)
+    active = a_ic, a_sc = _line_of_basis_vec(forms, *vec)
     base = 4 * (p + 1)
     # base * r is the least multiple of base above the bound; 4^j >= r
     r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
@@ -158,9 +166,7 @@ def neighbor_step(
         upper = _below_boundary(d, denom)
     s_t = (s0 + upper) / 2
     for _ in range(_TRIAL_CAP):
-        mu, coords, lines, basis = _pair_data(
-            d, half, s_t.denominator, s_t.numerator, basis
-        )
+        mu, coords, lines, basis = _pair_data(forms, s_t.denominator, s_t.numerator, basis)
         if active in lines:
             if len(lines) >= 2:
                 coords += [(-u, -v) for u, v in coords]
@@ -256,12 +262,11 @@ def _closing_vectors(
     """Minimal vectors of first*eps^2, in basis coordinates: eps^-1 times first's.
 
     eps^-1 = N(eps)*eps' is integral, e0 + e1*omega, and each product
-    (u + v*omega)*(e0 + e1*omega) reduces omega^2 = t*omega + n: to d
-    for the sqrt(d) basis, to omega + (d - 1)/4 for the half basis.
+    (u + v*omega)*(e0 + e1*omega) reduces omega^2 = t*omega + n.
     first.min_vectors holds both signs, so the set does too.
     """
     e0, e1 = (unit.value.conj() * unit.norm_sign).basis_coords()
-    t, n = (1, (field.d - 1) // 4) if field.half_basis else (0, field.d)
+    _, t, n = _omega(field.d)
     return frozenset(
         (u * e0 + n * v * e1, u * e1 + v * e0 + t * v * e1) for u, v in first.min_vectors
     )
@@ -285,7 +290,7 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     multiply as integer pairs and compare by cross-multiplication, so
     the walk does no field arithmetic per step.
     """
-    d, half = field.d, field.half_basis
+    d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
     first = neighbor_step(field, (1, 0), (1, 0))
@@ -294,10 +299,11 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     if target[1] * p <= q * target[0]:
         raise InvariantError("squared unit failed to shift the start rightward")
     closing = _closing_vectors(field, unit, first)
+    forms = _support_forms(d)
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]
-        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(d, half, *y)[1])
+        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
         if vec in closing:
             return WalkResult(field, tuple(classes), unit, eps2)
         nxt = neighbor_step(field, last.pair, vec)

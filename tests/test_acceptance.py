@@ -39,6 +39,7 @@ from unaryperfect.voronoi import (
     neighbor_step,
     walk_classes,
     _line_of_basis_vec,
+    _support_forms,
 )
 
 SEED = 20260817
@@ -196,8 +197,8 @@ def test_criterion_4_a1_minimum_and_vector_law():
 def test_criterion_5_reduction_agrees_with_brute_force():
     """500 seeded-random totally positive forms: the reduction pipeline
     and the box oracle agree exactly, each integer form is the field-
-    arithmetic trace form scaled by its L, and every integer reduction is
-    a genuine unimodular change of variables."""
+    arithmetic trace form scaled to its primitive ray, and every integer
+    reduction is a genuine unimodular change of variables."""
     t0 = time.monotonic()
     rng = random.Random(SEED + 5)
     pool = [d for d in range(2, 500) if is_squarefree(d)]
@@ -215,6 +216,7 @@ def test_criterion_5_reduction_agrees_with_brute_force():
         assert min_data(x) == brute_force_min(x), (d, p, q, lam)
 
         A, B, C, L = _scaled_form(x)
+        assert L * x == field.element(*primitive_normalize(x))
         assert (A, B, C) == tuple(L * c for c in trace_form(x))
         (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(A, B, C)
         assert abs(Br) <= Ar <= Cr
@@ -326,10 +328,8 @@ def test_criterion_7_invariance_and_symmetry():
         walk = _walk(d)
         first, last = walk.classes[0], walk.classes[-1]
         # leave the last vertex along the minimal vector whose line has the least slope
-        rightward = min(
-            last.min_vectors,
-            key=lambda y: _line_of_basis_vec(d, walk.field.half_basis, *y)[1],
-        )
+        forms = _support_forms(d)
+        rightward = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
         again = neighbor_step(walk.field, last.pair, rightward)
         assert again.pair == primitive_normalize(_form(walk, first) * walk.eps2), d
         for cls in walk.classes:

@@ -406,6 +406,18 @@ def test_scan_is_deterministic_across_workers(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs 2 CPUs")
+def test_scan_pool_takes_a_rebound_build_record(monkeypatch, tmp_path):
+    # a closure cannot be pickled, so the pool must not map build_record itself
+    original = cli.build_record
+    monkeypatch.setattr(cli, "build_record", lambda d: original(d))
+    one = tmp_path / "one.csv"
+    two = tmp_path / "two.csv"
+    assert main(["scan", "2", "60", "--jobs", "1", "--out", str(one)]) == 0
+    assert main(["scan", "2", "60", "--jobs", "2", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
 def test_scan_records_frozen(capsys):
     # every pair, minimum and vector of the 607 fields in [2, 1000]
     assert main(["scan", "2", "1000", "--format", "json"]) == 0

@@ -157,6 +157,25 @@ def test_basis_coords_requires_integrality():
         FieldDesc(7).element(Fraction(1, 3)).basis_coords()
 
 
+GRID = [Fraction(n, k) for n in range(-8, 9) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("d", [d for d in range(2, 60) if is_squarefree(d)])
+def test_integrality_is_integral_trace_and_norm(d):
+    # x is integral exactly when its trace and norm are, whatever the basis
+    field = FieldDesc(d)
+    for a in GRID:
+        for b in GRID:
+            x = field.element(a, b)
+            integral = x.trace().denominator == 1 and x.norm().denominator == 1
+            assert x.is_integral() == integral, (d, a, b)
+            if integral:
+                assert field.from_basis_coords(*x.basis_coords()) == x
+            else:
+                with pytest.raises(QuadFieldError):
+                    x.basis_coords()
+
+
 def test_primitive_normalize_frozen():
     F7 = FieldDesc(7)
     a1 = F7.element(Fraction(1, 2), Fraction(5, 28))

@@ -40,6 +40,7 @@ def _assert_shown(shown, actual):
 def test_every_command_example_is_checked():
     assert sorted(COMMANDS) == [
         "analyze 1007",
+        "analyze 33",
         "oracle 7 1/2 5/28",
         "scan 2 30",
         "verify-family --m-max 5 --k-max 4 --d-cap 20000",

@@ -1,7 +1,7 @@
 """Gauss reduction and trace-form minima, cross-checked two ways."""
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import power, trace_form
 from unaryperfect import traceform
 from unaryperfect.quadfield import FieldDesc, QuadFieldError, SizeLimitError, is_squarefree
+from unaryperfect.quadfield import FieldElem, primitive_normalize
 from unaryperfect.units import fundamental_unit, unit_square
 from unaryperfect.traceform import (
     brute_force_min,
@@ -70,20 +71,28 @@ def test_trace_form_frozen():
 def test_integer_kernel_matches_trace_form(field, p, q):
     x = field.element(p, q)
     assume(x.is_totally_positive())
-    A, B, C = _trace_form_ints(field.d, field.half_basis, p, q)
+    A, B, C = _trace_form_ints(field.d, p, q)
     assert trace_form(x) == (A, B, C)
 
 
 @given(totally_positive())
 def test_scaled_form_matches_trace_form(x):
+    # the integer form is that of the primitive point of x's ray
     A, B, C, L = _scaled_form(x)
-    assert L == lcm(x.a.denominator, x.b.denominator)
+    assert L * x == x.field.element(*primitive_normalize(x))
     assert (A, B, C) == tuple(L * c for c in trace_form(x))
 
 
 @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
 def test_round_nearest_even_oracle(num, den):
     assert _round_nearest_even(num, den) == round(Fraction(num, den))
+
+
+def test_minimum_is_exact_on_integer_coordinates():
+    # FieldElem keeps the coordinates it is given, so the scale p/a must not become a float
+    x = FieldElem(FieldDesc(7), 3, 1)
+    for md in (min_data(x), brute_force_min(x)):
+        assert type(md.mu) is Fraction and md.mu == 6
 
 
 def test_trace_form_needs_totally_positive():

@@ -29,6 +29,7 @@ from unaryperfect.voronoi import (
     _basis_through,
     _below_boundary,
     _line_of_basis_vec,
+    _support_forms,
 )
 
 SQUAREFREE = [d for d in range(2, 120) if is_squarefree(d)]
@@ -44,7 +45,7 @@ def pm(*elems):
 
 
 def line_of(y):
-    return _line_of_basis_vec(y.field.d, y.field.half_basis, *y.basis_coords())
+    return _line_of_basis_vec(_support_forms(y.field.d), *y.basis_coords())
 
 
 def form(field, cls):
@@ -58,10 +59,8 @@ def slope_of(cls):
 
 def rightward_vec(field, cls):
     """The minimal vector whose line has the least slope, as the walk leaves a vertex."""
-    return min(
-        cls.min_vectors,
-        key=lambda y: _line_of_basis_vec(field.d, field.half_basis, *y)[1],
-    )
+    forms = _support_forms(field.d)
+    return min(cls.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
 
 
 def test_support_line_frozen():
