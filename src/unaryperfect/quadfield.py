@@ -79,6 +79,13 @@ def _omega(d: int) -> tuple[int, int, int]:
     return 1, 0, d
 
 
+def _scalar(c: Scalar) -> Scalar:
+    """c itself if it is an int or a Fraction, bools excepted, as FieldDesc takes d."""
+    if not isinstance(c, (int, Fraction)) or isinstance(c, bool):
+        raise QuadFieldError(f"coordinates must be int or Fraction, got {c!r}")
+    return c
+
+
 @dataclass(frozen=True, slots=True)
 class FieldDesc:
     """The field Q(sqrt(d)) for a squarefree integer d >= 2."""
@@ -109,7 +116,7 @@ class FieldDesc:
         return FieldElem(self, _ZERO, _ONE)
 
     def element(self, a: Scalar, b: Scalar = 0) -> FieldElem:
-        return FieldElem(self, Fraction(a), Fraction(b))
+        return FieldElem(self, Fraction(_scalar(a)), Fraction(_scalar(b)))
 
     def from_basis_coords(self, u: int, v: int) -> FieldElem:
         """The integral element u + v*omega = (u + t*v/g) + (v/g)*sqrt(d)."""
@@ -119,11 +126,15 @@ class FieldDesc:
 
 @dataclass(frozen=True, slots=True)
 class FieldElem:
-    """a + b*sqrt(d) with exact rational coordinates a, b."""
+    """a + b*sqrt(d) with exact rational coordinates a, b, each an int or a Fraction."""
 
     field: FieldDesc
     a: Fraction
     b: Fraction
+
+    def __post_init__(self) -> None:
+        _scalar(self.a)
+        _scalar(self.b)
 
     # -- ring structure ------------------------------------------------
 

@@ -47,16 +47,24 @@ def _round_nearest_even(num: int, den: int) -> int:
 
 
 def _reduce_ints(
-    A: int, B: int, C: int
+    A: int, B: int, C: int, start: tuple[int, int, int, int] = (1, 0, 0, 1)
 ) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
-    """Gauss-reduce a positive definite integer form.
+    """Gauss-reduce a positive definite integer form, written over the basis `start`.
 
-    Returns the reduced triple and the basis change (u00, u01, u10, u11):
-    columns are the reduced basis written in the original basis.  A is
-    cut at least in half at every swap, so termination is immediate; the
-    cap only guards against a malformed input slipping past validation.
+    start is unimodular, (m00, m01, m10, m11) with columns in the form's
+    coordinates, and so is the returned reduced basis.  Any such start
+    spans the same lattice, so the minimum and minimal vectors do not
+    depend on it, and one near the reduced basis of a nearby form cuts
+    the Gauss steps from about its bit length to a handful.  A is cut at
+    least in half at every swap, so termination is immediate; the cap
+    only guards against a malformed input slipping past validation.
     """
-    u00, u01, u10, u11 = 1, 0, 0, 1
+    u00, u01, u10, u11 = start
+    A, B, C = (
+        A * u00 * u00 + B * u00 * u10 + C * u10 * u10,
+        2 * A * u00 * u01 + B * (u00 * u11 + u01 * u10) + 2 * C * u10 * u11,
+        A * u01 * u01 + B * u01 * u11 + C * u11 * u11,
+    )
     for _ in range(_REDUCE_CAP):
         if abs(B) <= A <= C:
             return (A, B, C), (u00, u01, u10, u11)
@@ -73,15 +81,17 @@ def _reduce_ints(
 
 
 def _min_vectors_ints(
-    A: int, B: int, C: int
+    reduced: tuple[int, int, int], basis: tuple[int, int, int, int]
 ) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Minimum and minimal vectors (up to sign) of a reduced integer form.
+    """Minimum and minimal vectors, one per +-pair, of a form reduced over `basis`.
 
     For a reduced form the minimum is A, and disc >= 3*A*C squeezes the
     search box for value <= A down to |u|, |v| <= 1, so the candidates
-    are (1, 0), of value A, and (u, 1) for u = -1, 0, 1.
+    are (1, 0), of value A, and (u, 1) for u = -1, 0, 1, taken over basis.
     """
-    return A, ((1, 0),) + tuple((u, 1) for u in (-1, 0, 1) if A * u * u + B * u + C == A)
+    (A, B, C), (u00, u01, u10, u11) = reduced, basis
+    rest = [(u00 * u + u01, u10 * u + u11) for u in (-1, 0, 1) if A * u * u + B * u + C == A]
+    return A, ((u00, u10), *rest)
 
 
 # -- forms of field elements ----------------------------------------------
@@ -113,10 +123,8 @@ def _vector_set(field: FieldDesc, coords) -> frozenset[FieldElem]:
 def min_data(x: FieldElem) -> MinData:
     """Minimum of Tr(x * y^2) over nonzero integral y, with its vectors."""
     A, B, C, L = _scaled_form(x)
-    (Ar, Br, Cr), (u00, u01, u10, u11) = _reduce_ints(A, B, C)
-    m, vecs = _min_vectors_ints(Ar, Br, Cr)
-    back = [(u00 * u + u01 * v, u10 * u + u11 * v) for u, v in vecs]
-    return MinData(m / L, _vector_set(x.field, back))
+    m, vecs = _min_vectors_ints(*_reduce_ints(A, B, C))
+    return MinData(m / L, _vector_set(x.field, vecs))
 
 
 def certified_box(x: FieldElem) -> tuple[int, int]:

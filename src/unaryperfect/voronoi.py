@@ -28,8 +28,9 @@ The pairs grow to hundreds of bits along a period, and a search that
 starts from scratch costs rounds in proportion to their bit length.  A
 step avoids that twice, so its cost does not grow along the period: its
 opening ceiling comes from a closed-form bound on the gap to 1/sqrt(d),
-and its Gauss reductions start warm, the first from a basis through the
-active line's vector and each later one from the reduced basis of the
+and its Gauss reductions start warm: each trial passes
+traceform._reduce_ints a `start` basis, for the first trial one through
+the active line's vector and for each later one the reduced basis of the
 trial before it.
 """
 
@@ -58,36 +59,6 @@ def _line_of_basis_vec(forms: tuple[int, ...], u: int, v: int) -> tuple[int, int
     A0, B0, C0, A1, B1, C1 = forms
     uu, uv, vv = u * u, u * v, v * v
     return A0 * uu + B0 * uv + C0 * vv, A1 * uu + B1 * uv + C1 * vv
-
-
-def _pair_data(forms: tuple[int, ...], p: int, q: int, start: tuple[int, int, int, int]):
-    """Minimum, minimal vectors, support lines and reduced basis of p + q*sqrt(d).
-
-    The trace form, p and q times the _support_forms `forms`, is first
-    written over the unimodular basis `start` (columns in basis
-    coordinates) and reduced from there; the returned basis is the
-    composed change, reduced basis over {1, omega}.  A start near the
-    reduced basis of a nearby slope cuts the Gauss steps from about the
-    bit length of p to a handful; any unimodular start spans the same
-    lattice, so the minimum, vectors and lines do not depend on it.
-    Vectors come back in basis coordinates, one per +-pair; opposite
-    vectors share a line, and distinct ones never do, so the line set
-    sizes the vector set up to sign.
-    """
-    A0, B0, C0, A1, B1, C1 = forms
-    A, B, C = p * A0 + q * A1, p * B0 + q * B1, p * C0 + q * C1
-    m00, m01, m10, m11 = start
-    triple, (u00, u01, u10, u11) = _reduce_ints(
-        A * m00 * m00 + B * m00 * m10 + C * m10 * m10,
-        2 * A * m00 * m01 + B * (m00 * m11 + m01 * m10) + 2 * C * m10 * m11,
-        A * m01 * m01 + B * m01 * m11 + C * m11 * m11,
-    )
-    r00, r01 = m00 * u00 + m01 * u10, m00 * u01 + m01 * u11
-    r10, r11 = m10 * u00 + m11 * u10, m10 * u01 + m11 * u11
-    m, vecs = _min_vectors_ints(*triple)
-    coords = [(r00 * u + r01 * v, r10 * u + r11 * v) for u, v in vecs]
-    lines = {_line_of_basis_vec(forms, u, v) for u, v in coords}
-    return m, coords, lines, (r00, r01, r10, r11)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +106,10 @@ def neighbor_step(
     minimal the trial pulls back to its last crossing with a current
     minimal line.  Each pullback lands on or right of the sought vertex,
     so the trial meets it exactly, with the active line minimal alongside
-    at least one other.  The vertex is built from that trial's integer
-    data alone.
+    at least one other.  Distinct +-pairs of vectors never share a line,
+    so that is when +-vec is among two or more minimal pairs, and lines
+    are evaluated only for the pullback's crossings.  The vertex is built
+    from that trial's integer data alone.
 
     The opening ceiling has denominator 4*(p+1)*4^j, with the least j
     that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
@@ -155,7 +128,7 @@ def neighbor_step(
     s0 = Fraction(q, p)
     basis = _basis_through(*vec)
     forms = _support_forms(d)
-    active = a_ic, a_sc = _line_of_basis_vec(forms, *vec)
+    a_ic, a_sc = _line_of_basis_vec(forms, *vec)
     base = 4 * (p + 1)
     # base * r is the least multiple of base above the bound; 4^j >= r
     r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
@@ -165,20 +138,25 @@ def neighbor_step(
         denom *= 4
         upper = _below_boundary(d, denom)
     s_t = (s0 + upper) / 2
+    A0, B0, C0, A1, B1, C1 = forms
     for _ in range(_TRIAL_CAP):
-        mu, coords, lines, basis = _pair_data(forms, s_t.denominator, s_t.numerator, basis)
-        if active in lines:
-            if len(lines) >= 2:
-                coords += [(-u, -v) for u, v in coords]
+        p_t, q_t = s_t.denominator, s_t.numerator
+        triple, basis = _reduce_ints(
+            p_t * A0 + q_t * A1, p_t * B0 + q_t * B1, p_t * C0 + q_t * C1, basis
+        )
+        mu, vecs = _min_vectors_ints(triple, basis)
+        if vec in vecs or (-vec[0], -vec[1]) in vecs:
+            if len(vecs) >= 2:
                 return PerfectForm(
-                    (s_t.denominator, s_t.numerator), mu, tuple(sorted(coords))
+                    (p_t, q_t), mu, tuple(sorted([*vecs, *((-u, -v) for u, v in vecs)]))
                 )
             denom *= 4
             upper = _below_boundary(d, denom)
             s_t = s_t + (upper - s_t) * Fraction(2, 3)
             continue
         best: Fraction | None = None
-        for ic, sc in lines:
+        for y in vecs:
+            ic, sc = _line_of_basis_vec(forms, *y)
             if sc == a_sc:
                 continue
             cross = Fraction(a_ic - ic, sc - a_sc)

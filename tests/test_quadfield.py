@@ -1,6 +1,7 @@
 """Exact field arithmetic: algebra laws, integrality, canonical ray labels."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,24 @@ def test_field_rejects_non_int():
         FieldDesc(True)
     with pytest.raises(QuadFieldError):
         FieldDesc("7")
+
+
+NOT_SCALARS = [0.5, 0.1, 1 + 0j, "1/2", Decimal("0.5"), Decimal(1), True, False]
+BUILDERS = {
+    "FieldElem a": lambda c: FieldElem(FieldDesc(7), c, Fraction(0)),
+    "FieldElem b": lambda c: FieldElem(FieldDesc(7), Fraction(1), c),
+    "element a": lambda c: FieldDesc(7).element(c),
+    "element b": lambda c: FieldDesc(7).element(1, c),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+@pytest.mark.parametrize("bad", NOT_SCALARS, ids=repr)
+def test_coordinates_must_be_int_or_fraction(builder, bad):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, and a float
+    # coordinate fails later, in str() or min_data, with an AttributeError
+    with pytest.raises(QuadFieldError, match="coordinates must be int or Fraction"):
+        BUILDERS[builder](bad)
 
 
 def test_basis_kind():

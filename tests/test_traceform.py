@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import power, trace_form
@@ -16,6 +16,7 @@ from unaryperfect.traceform import (
     brute_force_min,
     certified_box,
     min_data,
+    _min_vectors_ints,
     _reduce_ints,
     _round_nearest_even,
     _scaled_form,
@@ -50,6 +51,40 @@ def definite_forms(draw):
 def _value(form, u, v):
     A, B, C = form
     return A * u * u + B * u * v + C * v * v
+
+
+def _times(m, e):
+    """The product of 2x2 matrices (m00, m01, m10, m11)."""
+    a, b, c, d = m
+    p, q, r, s = e
+    return a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+
+
+ELEMENTARY = st.one_of(
+    st.integers(-6, 6).map(lambda k: (1, k, 0, 1)),
+    st.integers(-6, 6).map(lambda k: (1, 0, k, 1)),
+    st.sampled_from([(0, -1, 1, 0), (1, 0, 0, -1), (-1, 0, 0, -1)]),
+)
+
+
+@st.composite
+def unimodular_starts(draw):
+    """A product of elementary matrices: shears, a quarter turn, reflections."""
+    m = (1, 0, 0, 1)
+    for e in draw(st.lists(ELEMENTARY, max_size=8)):
+        m = _times(m, e)
+    return m
+
+
+def _over(form, basis):
+    """The form written over basis, read off three values: B = f(c0 + c1) - f(c0) - f(c1)."""
+    u00, u01, u10, u11 = basis
+    A, C = _value(form, u00, u10), _value(form, u01, u11)
+    return A, _value(form, u00 + u01, u10 + u11) - A - C, C
+
+
+def _up_to_sign(vecs):
+    return {max(y, (-y[0], -y[1])) for y in vecs}
 
 
 def test_trace_form_frozen():
@@ -109,6 +144,13 @@ def test_gauss_reduce_frozen():
     assert reduced == (1, 1, 1)
     assert change == (1, -2, 0, 1)
 
+    # from another start the reduced basis differs; its vectors agree up to sign
+    reduced, change = _reduce_ints(1, 5, 7, (3, 1, 2, 1))
+    assert reduced == (1, -1, 1)
+    assert change == (-1, 3, 0, -1)
+    assert _min_vectors_ints(reduced, change) == (1, ((-1, 0), (3, -1), (2, -1)))
+    assert _min_vectors_ints(*_reduce_ints(1, 5, 7)) == (1, ((1, 0), (-3, 1), (-2, 1)))
+
     reduced, _ = _reduce_ints(952, 60420, 958664)
     assert reduced[0] == 72
     reduced, _ = _reduce_ints(476, 30210, 479332)
@@ -123,6 +165,32 @@ def test_gauss_reduce_invariants(form, u, v):
     assert 4 * A * C - B * B == 4 * form[0] * form[2] - form[1] ** 2
     assert u00 * u11 - u01 * u10 in (1, -1)
     assert _value(form, u00 * u + u01 * v, u10 * u + u11 * v) == _value(reduced, u, v)
+
+
+# (A, A, A) has three minimal +-pairs, (1, 0), (0, 1) and (1, -1)
+with_three_pairs = st.one_of(definite_forms(), st.integers(1, 240).map(lambda a: (a, a, a)))
+
+
+@given(with_three_pairs, unimodular_starts())
+@example((1, 1, 1), (0, -1, 1, 0))
+@example((7, 7, 7), (3, -2, -4, 3))
+@example((5, -5, 5), (1, 6, 0, 1))
+def test_reduction_from_a_unimodular_start(form, start):
+    reduced, basis = _reduce_ints(*form, start)
+    A, B, C = reduced
+    assert abs(B) <= A <= C
+    assert 4 * A * C - B * B == 4 * form[0] * form[2] - form[1] ** 2
+    assert basis[0] * basis[3] - basis[1] * basis[2] in (1, -1)
+    # the basis is in the form's own coordinates: it carries the form to the triple
+    assert _over(form, basis) == reduced
+    m, vecs = _min_vectors_ints(reduced, basis)
+    m0, vecs0 = _min_vectors_ints(*_reduce_ints(*form))
+    assert m == m0
+    assert len(_up_to_sign(vecs)) == len(vecs)
+    assert _up_to_sign(vecs) == _up_to_sign(vecs0)
+    assert all(_value(form, *y) == m for y in vecs)
+    if form[0] == form[1] == form[2]:
+        assert _up_to_sign(vecs) == {(1, 0), (0, 1), (1, -1)}
 
 
 @given(definite_forms())
