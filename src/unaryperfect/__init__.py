@@ -7,8 +7,8 @@ counts and the machinery to verify them.
 
 A walked class is one integer record, PerfectForm: its ray label (p, q),
 its minimum, and its minimal vectors as sorted basis coordinates over
-{1, omega} with both signs.  Only min_data and brute_force_min return
-field elements.
+{1, omega} with both signs.  Only min_data, brute_force_min and
+predicted_minimal_set return field elements as vectors.
 
 __all__ is the documented surface: the README's Library section names
 each of its names.  The helpers behind them stay in their modules.

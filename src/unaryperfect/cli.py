@@ -29,15 +29,16 @@ from pathlib import Path
 
 from .family import (
     DClass,
+    _predicted_coords,
     classify,
     construct_a1_a2,
     construct_a3,
     generate_family,
     predicted_a3_minimum,
-    predicted_minimal_set,
 )
 from .quadfield import FieldDesc, QuadFieldError, SizeLimitError, fraction_str
-from .traceform import brute_force_min, min_data
+from .quadfield import primitive_normalize
+from .traceform import _min_coords, brute_force_min
 from .voronoi import PerfectForm, walk_classes
 
 CSV_COLUMNS = ("d", "nK", "tag", "alpha", "beta", "norm", "predicted_nK", "agree")
@@ -295,30 +296,32 @@ def cmd_verify_family(args) -> int:
         unit = result.unit
         a1, a2 = construct_a1_a2(field)
         a3 = construct_a3(unit)
+        reps = {"a1": a1, "a2": a2, "a3": a3}
+        rays = {name: primitive_normalize(rep) for name, rep in reps.items()}
         problems = []
         if result.class_count != 3:
             problems.append(f"class count {result.class_count} != 3")
         else:
             matches = []
-            for name, rep in (("a1", a1), ("a2", a2), ("a3", a3)):
-                j = result.class_index(rep)
+            for name, ray in rays.items():
+                j = result._ray_index(ray)
                 if j is None:
                     problems.append(f"{name} matched walk classes []")
                 else:
                     matches.append(j)
             if len(set(matches)) != len(matches):
                 problems.append(f"representatives collided on classes {matches}")
-        md3 = min_data(a3)
+        mins = {name: _min_coords(rep, rays[name]) for name, rep in reps.items()}
+        mu3, vecs3 = mins["a3"]
         want_mu = predicted_a3_minimum(params)
-        if md3.mu != want_mu:
-            problems.append(f"mu(a3) = {md3.mu} != {want_mu}")
-        if md3.vectors != predicted_minimal_set("a3", field, unit):
+        if mu3 != want_mu:
+            problems.append(f"mu(a3) = {mu3} != {want_mu}")
+        if vecs3 != _predicted_coords("a3", field, unit):
             problems.append("minimal vectors of a3 differ from prediction")
-        md1, md2 = min_data(a1), min_data(a2)
-        if md1.mu != 1 or md1.vectors != predicted_minimal_set("a1", field):
-            problems.append("minimal data of a1 differs from prediction")
-        if md2.mu != 1 or md2.vectors != predicted_minimal_set("a2", field):
-            problems.append("minimal data of a2 differs from prediction")
+        for name in ("a1", "a2"):
+            mu, vecs = mins[name]
+            if mu != 1 or vecs != _predicted_coords(name, field):
+                problems.append(f"minimal data of {name} differs from prediction")
         spot = f"d={params.d} (m={params.m}, k={params.k}, delta={params.delta:+d})"
         if problems:
             failures += 1

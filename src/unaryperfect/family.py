@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, is_squarefree
+from .traceform import _both_signs
 from .units import FundamentalUnit, fundamental_unit
 
 TAG_T1 = "T1"
@@ -165,34 +166,53 @@ def construct_a3(unit: FundamentalUnit) -> FieldElem:
     return unit.value
 
 
-def predicted_minimal_set(
+def _predicted_coords(
     which: str, field: FieldDesc, unit: FundamentalUnit | None = None
-) -> frozenset[FieldElem]:
-    """Closed-form minimal vectors of a1, a2, or a3.
+) -> frozenset[tuple[int, int]]:
+    """Closed-form minimal vectors of a1, a2, or a3, as basis coordinates with both signs.
 
-    a1 gets {+-1, +-(n - sqrt(d))}, enlarged by +-(n - 1 - sqrt(d)) on
-    the boundary r = -(n-1); a2 is the conjugate set; a3 (unit needed)
-    gets {+-(n - sqrt(d)), +-conj(unit)*(n + sqrt(d))}.
+    On d = 2, 3 (mod 4), omega = sqrt(d), so (u, v) is u + v*sqrt(d).
+    a1 gets {+-(1, 0), +-(n, -1)}, enlarged by +-(n - 1, -1) on the
+    boundary r = -(n-1); a2 negates v; a3 (unit alpha + beta*sqrt(d)
+    needed) gets {+-(n, -1), +-(alpha*n - beta*d, alpha - beta*n)}, the
+    second being conj(unit)*(n + sqrt(d)).
     """
     n, r = nr_decompose(field.d)
-    root = field.sqrt_d()
     if which in ("a1", "a2"):
         if field.half_basis or r in (1, -1):
             raise QuadFieldError("predicted sets need d = 2, 3 (mod 4), r != +-1")
-        vecs = [field.one(), n - root]
+        vecs = [(1, 0), (n, -1)]
         if r == -(n - 1):
-            vecs.append(n - 1 - root)
+            vecs.append((n - 1, -1))
         if which == "a2":
-            vecs = [y.conj() for y in vecs]
+            vecs = [(u, -v) for u, v in vecs]
     elif which == "a3":
         if unit is None:
             raise QuadFieldError("a3 prediction needs the fundamental unit")
         if unit.norm_sign != 1:
             raise InvariantError("three-class case requires a norm +1 unit")
-        vecs = [n - root, unit.value.conj() * (n + root)]
+        if field.half_basis:
+            raise QuadFieldError("predicted sets need d = 2, 3 (mod 4)")
+        alpha, beta = int(unit.value.a), int(unit.value.b)
+        vecs = [(n, -1), (alpha * n - beta * field.d, alpha - beta * n)]
     else:
         raise QuadFieldError(f"unknown representative {which!r}")
-    return frozenset([y for v in vecs for y in (v, -v)])
+    return _both_signs(vecs)
+
+
+def predicted_minimal_set(
+    which: str, field: FieldDesc, unit: FundamentalUnit | None = None
+) -> frozenset[FieldElem]:
+    """Closed-form minimal vectors of a1, a2, or a3, as field elements.
+
+    a1 gets {+-1, +-(n - sqrt(d))}, enlarged by +-(n - 1 - sqrt(d)) on
+    the boundary r = -(n-1); a2 is the conjugate set; a3 (unit needed)
+    gets {+-(n - sqrt(d)), +-conj(unit)*(n + sqrt(d))}.  All need
+    d = 2, 3 (mod 4).
+    """
+    return frozenset(
+        field.from_basis_coords(u, v) for u, v in _predicted_coords(which, field, unit)
+    )
 
 
 # -- the (m, k, delta) family ----------------------------------------------

@@ -144,7 +144,7 @@ class FieldElem:
                 raise QuadFieldError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.field, Fraction(other), _ZERO)
+            return FieldElem(self.field, Fraction(_scalar(other)), _ZERO)
         return None
 
     def __add__(self, other) -> FieldElem:

@@ -111,20 +111,32 @@ class MinData:
     vectors: frozenset[FieldElem]
 
 
+def _both_signs(coords) -> frozenset[tuple[int, int]]:
+    """The vectors coords, one per +-pair, with both signs."""
+    return frozenset(c for u, v in coords for c in ((u, v), (-u, -v)))
+
+
 def _vector_set(field: FieldDesc, coords) -> frozenset[FieldElem]:
-    out = []
-    for u, v in coords:
-        y = field.from_basis_coords(u, v)
-        out.append(y)
-        out.append(-y)
-    return frozenset(out)
+    return frozenset(field.from_basis_coords(u, v) for u, v in coords)
+
+
+def _min_coords(
+    x: FieldElem, ray: tuple[int, int]
+) -> tuple[Fraction, frozenset[tuple[int, int]]]:
+    """Minimum of x, and its minimal vectors as basis coordinates with both signs.
+
+    ray is primitive_normalize(x), passed in so that a caller holding it
+    does not compute it twice.  The form of the label p + q*sqrt(d) is
+    p/a times that of x = a + b*sqrt(d) and has the same vectors.
+    """
+    m, vecs = _min_vectors_ints(*_reduce_ints(*_trace_form_ints(x.field.d, *ray)))
+    return Fraction(m * x.a, ray[0]), _both_signs(vecs)
 
 
 def min_data(x: FieldElem) -> MinData:
     """Minimum of Tr(x * y^2) over nonzero integral y, with its vectors."""
-    A, B, C, L = _scaled_form(x)
-    m, vecs = _min_vectors_ints(*_reduce_ints(A, B, C))
-    return MinData(m / L, _vector_set(x.field, vecs))
+    mu, coords = _min_coords(x, primitive_normalize(x))
+    return MinData(mu, _vector_set(x.field, coords))
 
 
 def certified_box(x: FieldElem) -> tuple[int, int]:
@@ -165,4 +177,4 @@ def brute_force_min(x: FieldElem) -> MinData:
                 best, vecs = val, [(u, v)]
             elif val == best:
                 vecs.append((u, v))
-    return MinData(best / L, _vector_set(x.field, vecs))
+    return MinData(best / L, _vector_set(x.field, _both_signs(vecs)))

@@ -212,21 +212,22 @@ class WalkResult:
         return len(self.classes)
 
     def class_index(self, x: FieldElem) -> int | None:
-        """Index of the walked class that x spans, or None if x spans no class.
-
-        The walked pairs are the rays of one period, in the window
-        [classes[0], classes[0]*eps2); x's ray is moved into that window
-        and looked up among them, in integers.
-        """
+        """Index of the walked class that x spans, or None if x spans no class."""
         if not x.is_totally_positive():
             raise QuadFieldError("class comparison needs totally positive forms")
         if x.field != self.field:
             raise QuadFieldError("elements of different fields")
+        return self._ray_index(primitive_normalize(x))
+
+    def _ray_index(self, ray: tuple[int, int]) -> int | None:
+        """class_index for the ray label of a totally positive form of this field.
+
+        The walked pairs are the rays of one period, in the window
+        [classes[0], classes[0]*eps2); the ray is moved into that window
+        and looked up among them, in integers.
+        """
         ray = _into_window(
-            self.field.d,
-            primitive_normalize(x),
-            self.classes[0].pair,
-            primitive_normalize(self.eps2),
+            self.field.d, ray, self.classes[0].pair, primitive_normalize(self.eps2)
         )
         for j, cls in enumerate(self.classes):
             if cls.pair == ray:

@@ -4,6 +4,7 @@ deterministic scans."""
 import concurrent.futures
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -508,6 +509,74 @@ def test_verify_family_reports_colliding_representatives(monkeypatch, capsys):
         "[0, 2, 0]; mu(a3) = 1 != 72; minimal vectors of a3 differ from prediction",
         "d=799 (m=3, k=2, delta=-1): FAIL  representatives collided on classes "
         "[0, 2, 0]; mu(a3) = 1 != 64; minimal vectors of a3 differ from prediction",
+        "2 of 2 family members failed",
+    ]
+
+
+def test_verify_family_reports_a_wrong_class_count(monkeypatch, capsys):
+    walk = cli.walk_classes
+
+    def two_classes(field):
+        result = walk(field)
+        return dataclasses.replace(result, classes=result.classes[:2])
+
+    monkeypatch.setattr(cli, "walk_classes", two_classes)
+    assert main(FAMILY_SMALL) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        "d=1007 (m=3, k=2, delta=+1): FAIL  class count 2 != 3",
+        "d=799 (m=3, k=2, delta=-1): FAIL  class count 2 != 3",
+        "2 of 2 family members failed",
+    ]
+
+
+def _scaled_pair(s1, s2):
+    """A construct_a1_a2 that returns s1*a1 and s2*a2; a scaled form keeps its class."""
+    construct = cli.construct_a1_a2
+
+    def patched(field):
+        a1, a2 = construct(field)
+        return s1 * a1, s2 * a2
+
+    return patched
+
+
+@pytest.mark.parametrize("which", ["a1", "a2"])
+def test_verify_family_reports_wrong_minimal_data(monkeypatch, capsys, which):
+    # a doubled form has minimum 2, not 1, and the same minimal vectors
+    scales = (2, 1) if which == "a1" else (1, 2)
+    monkeypatch.setattr(cli, "construct_a1_a2", _scaled_pair(*scales))
+    assert main(FAMILY_SMALL) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        f"d=1007 (m=3, k=2, delta=+1): FAIL  minimal data of {which} differs from prediction",
+        f"d=799 (m=3, k=2, delta=-1): FAIL  minimal data of {which} differs from prediction",
+        "2 of 2 family members failed",
+    ]
+
+
+def test_verify_family_reports_swapped_conjugates(monkeypatch, capsys):
+    # a1 and a2 have minimum 1 each, but each other's minimal vectors
+    construct = cli.construct_a1_a2
+    monkeypatch.setattr(cli, "construct_a1_a2", lambda field: construct(field)[::-1])
+    assert main(FAMILY_SMALL) == 1
+    both = "minimal data of a1 differs from prediction; minimal data of a2 differs from prediction"
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        f"d=1007 (m=3, k=2, delta=+1): FAIL  {both}",
+        f"d=799 (m=3, k=2, delta=-1): FAIL  {both}",
+        "2 of 2 family members failed",
+    ]
+
+
+def test_verify_family_reports_a_wrong_a3_minimum_alone(monkeypatch, capsys):
+    # 3*eps spans the class of eps and has its minimal vectors, at 3 times its minimum
+    monkeypatch.setattr(cli, "construct_a3", lambda unit: 3 * unit.value)
+    assert main(FAMILY_SMALL) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        FAMILY_HEADER,
+        "d=1007 (m=3, k=2, delta=+1): FAIL  mu(a3) = 216 != 72",
+        "d=799 (m=3, k=2, delta=-1): FAIL  mu(a3) = 192 != 64",
         "2 of 2 family members failed",
     ]
 

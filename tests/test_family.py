@@ -27,11 +27,13 @@ from unaryperfect.family import (
     construct_a3,
     generate_family,
     nr_decompose,
+    _predicted_coords,
     predicted_a3_minimum,
     predicted_minimal_set,
 )
 from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
-from unaryperfect.traceform import min_data
+from unaryperfect.quadfield import primitive_normalize
+from unaryperfect.traceform import _min_coords, min_data
 from unaryperfect.units import FundamentalUnit, fundamental_unit
 
 
@@ -223,6 +225,52 @@ def test_predicted_minimal_sets_match_computation():
             assert data.vectors == predicted_minimal_set(which, field)
 
 
+def _element_predictions(field, unit):
+    """The closed forms of predicted_minimal_set, written on field elements."""
+    n, r = nr_decompose(field.d)
+    root = field.sqrt_d()
+    a1 = [field.one(), n - root] + ([n - 1 - root] if r == -(n - 1) else [])
+    sets = {"a1": a1, "a2": [y.conj() for y in a1]}
+    if unit is not None:
+        sets["a3"] = [n - root, unit.value.conj() * (n + root)]
+    return {which: frozenset(y for v in vecs for y in (v, -v)) for which, vecs in sets.items()}
+
+
+def _check_coordinates(field, unit=None):
+    reps = dict(zip(("a1", "a2"), construct_a1_a2(field)))
+    if unit is not None:
+        reps["a3"] = construct_a3(unit)
+    for which, want in _element_predictions(field, unit).items():
+        coords = _predicted_coords(which, field, unit)
+        assert {field.from_basis_coords(u, v) for u, v in coords} == want, (field.d, which)
+        assert predicted_minimal_set(which, field, unit) == want, (field.d, which)
+        x = reps[which]
+        data = min_data(x)
+        mu, got = _min_coords(x, primitive_normalize(x))
+        assert mu == data.mu
+        assert {field.from_basis_coords(u, v) for u, v in got} == data.vectors, (field.d, which)
+        assert got == coords, (field.d, which)
+
+
+def test_coordinate_predictions_on_every_small_field():
+    # every d <= 3000 the constructors take: squarefree, 2 or 3 mod 4, r != +-1
+    ds = [
+        d for d in range(2, 3001)
+        if d % 4 in (2, 3) and is_squarefree(d) and nr_decompose(d)[1] not in (1, -1)
+    ]
+    assert len(ds) == 1177
+    for d in ds:
+        _check_coordinates(FieldDesc(d))
+
+
+def test_coordinate_predictions_on_the_benchmark_family():
+    members = generate_family(41, 40, 10**14).accepted
+    assert len(members) == 581
+    for params in members:
+        field = FieldDesc(params.d)
+        _check_coordinates(field, fundamental_unit(field))
+
+
 def test_predicted_minimal_set_guards():
     with pytest.raises(QuadFieldError):
         predicted_minimal_set("a1", FieldDesc(10))  # r = 1
@@ -232,6 +280,9 @@ def test_predicted_minimal_set_guards():
         predicted_minimal_set("a3", FieldDesc(2), fundamental_unit(FieldDesc(2)))
     with pytest.raises(QuadFieldError):
         predicted_minimal_set("a7", FieldDesc(1007))
+    with pytest.raises(QuadFieldError):
+        # the unit of d = 21, (5 + sqrt(21))/2, has norm +1; the family has no d = 1 (mod 4)
+        predicted_minimal_set("a3", FieldDesc(21), fundamental_unit(FieldDesc(21)))
 
 
 PARAMS_TABLE = {

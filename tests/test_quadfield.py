@@ -76,6 +76,24 @@ def test_coordinates_must_be_int_or_fraction(builder, bad):
         BUILDERS[builder](bad)
 
 
+OPERATORS = {
+    "x + c": lambda x, c: x + c,
+    "c + x": lambda x, c: c + x,
+    "x - c": lambda x, c: x - c,
+    "c - x": lambda x, c: c - x,
+    "x * c": lambda x, c: x * c,
+    "c * x": lambda x, c: c * x,
+}
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("flag", [True, False])
+def test_arithmetic_rejects_bools(op, flag):
+    # a bool is an int to isinstance, so it would pass for 1 or 0
+    with pytest.raises(QuadFieldError, match="coordinates must be int or Fraction"):
+        OPERATORS[op](FieldDesc(7).element(1, 1), flag)
+
+
 def test_basis_kind():
     assert FieldDesc(2).basis_kind == "SQRT"
     assert FieldDesc(7).basis_kind == "SQRT"
