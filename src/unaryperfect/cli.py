@@ -1,15 +1,20 @@
 """Command line front end: field reports, range scans, family checks.
 
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
-input, checked where it enters, an unwritable --out, or a size limit (a
-SizeLimitError from a step cap of the continued fraction or the walk, or
-the oracle's box, or a MemoryError); 3 any other exception, which after
-those checks is a bug, reported with its type and traceback; 141 stdout
-was closed by its reader (128 + SIGPIPE, as a shell reports a filter
-killed by that signal).
+input, checked where it enters, an --out that cannot be written
+(checked before the first field, and met again by the final write), or
+a size limit (a SizeLimitError from a step cap of the continued
+fraction or the walk, or the oracle's box, or a MemoryError); 3 any
+other exception, which after those checks is a bug, reported with its
+type and traceback; 141 stdout was closed by its reader (128 + SIGPIPE,
+as a shell reports a filter killed by that signal).
 Scan output is deterministic: records are emitted in ascending d and
 all vector lists are sorted, so reruns and different worker counts
-produce identical bytes.
+produce identical bytes.  A scan renders each record into its CSV row
+or JSON item as the results arrive in that order, and drops it, so it
+holds its output text and at most 16 records per pool worker, one
+chunk.  Near d = 10^5 a CSV row is about 160 bytes and a record
+about 100 KB; JSON text is about as large as its records.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -99,23 +105,26 @@ def _opt_str(value) -> str:
     return "" if value is None else str(value).lower()
 
 
-def render_csv(records: list[ScanRecord]) -> str:
+def _csv_row(r: ScanRecord) -> list:
+    """The CSV cells of one record."""
+    return [
+        r.d,
+        r.n_classes,
+        r.dclass.tag,
+        fraction_str(r.unit_alpha),
+        fraction_str(r.unit_beta),
+        r.norm_sign,
+        "" if r.predicted is None else r.predicted,
+        _opt_str(r.agree),
+    ]
+
+
+def render_csv(records: Iterable[ScanRecord]) -> str:
+    """CSV text of the records, each rendered as it is taken from the iterable."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.d,
-                r.n_classes,
-                r.dclass.tag,
-                fraction_str(r.unit_alpha),
-                fraction_str(r.unit_beta),
-                r.norm_sign,
-                "" if r.predicted is None else r.predicted,
-                _opt_str(r.agree),
-            ]
-        )
+    writer.writerows(map(_csv_row, records))
     return buf.getvalue()
 
 
@@ -165,8 +174,15 @@ def _json_text(value, indent: str = "") -> str:
     return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def render_json(records: list[ScanRecord]) -> str:
-    return _json_text([record_to_dict(r) for r in records]) + "\n"
+def _json_item(r: ScanRecord) -> str:
+    """One record as an item of render_json's list, indented to sit in it."""
+    return _json_text(record_to_dict(r), "  ")
+
+
+def render_json(records: Iterable[ScanRecord]) -> str:
+    """_json_text of the list of record dicts, each rendered as it is taken from the iterable."""
+    items = ",\n  ".join(map(_json_item, records))
+    return f"[\n  {items}\n]\n" if items else "[]\n"
 
 
 # -- commands --------------------------------------------------------------
@@ -247,30 +263,63 @@ def _bad_input(message: str) -> int:
     return 2
 
 
+def _unwritable(path: str) -> str | None:
+    """Why --out cannot be written, found without creating or truncating it; None if it can.
+
+    A path that exists must be a writable file or device (/dev/stdout
+    is one, in a directory a user cannot write); a new file needs a
+    writable directory.
+    """
+    target = Path(path)
+    if target.is_dir():
+        return f"cannot write --out {path}: it is a directory"
+    if target.exists():
+        ok = os.access(target, os.W_OK)
+    elif target.parent.is_dir():
+        ok = os.access(target.parent, os.W_OK | os.X_OK)
+    else:
+        return f"cannot write --out {path}: no directory {target.parent}"
+    return None if ok else f"cannot write --out {path}: permission denied"
+
+
+def _tally(records: Iterable[ScanRecord], counts: Counter, bad: list[int]):
+    """Pass the records through, counting classes and noting each d that disagrees."""
+    for r in records:
+        counts[r.n_classes] += 1
+        if r.agree is False:
+            bad.append(r.d)
+        yield r
+
+
 def cmd_scan(args) -> int:
     if args.hi < args.lo:
         return _bad_input(f"need lo <= hi, got [{args.lo}, {args.hi}]")
+    if args.out and (problem := _unwritable(args.out)):
+        return _bad_input(problem)
     ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in args.mod4]
     # the pool forks all its workers up front, so never ask for more than can run
     workers = min(args.jobs, len(ds), os.cpu_count() or 1)
+    render = render_csv if args.format == "csv" else render_json
+    counts: Counter = Counter()
+    bad: list[int] = []
+    # each record is rendered as it arrives, in ascending d, and then dropped
     if workers > 1:
         # imported here: multiprocessing costs every other command about 2.5 MB
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, len(ds) // (4 * workers))
+        # a worker holds one chunk of records, and small chunks leave no
+        # worker idle while another finishes a long last one
+        chunk = max(1, min(16, len(ds) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_scan_worker, ds, chunksize=chunk))
+            text = render(_tally(pool.map(_scan_worker, ds, chunksize=chunk), counts, bad))
     else:
-        records = [build_record(d) for d in ds]
-    text = render_csv(records) if args.format == "csv" else render_json(records)
+        text = render(_tally(map(build_record, ds), counts, bad))
     if args.out:
         Path(args.out).write_text(text)
     else:
         _write_stdout(text)
-    counts = dict(sorted(Counter(r.n_classes for r in records).items()))
-    bad = [r.d for r in records if r.agree is False]
     print(
-        f"scanned {len(records)} fields; class counts: {counts}; "
+        f"scanned {len(ds)} fields; class counts: {dict(sorted(counts.items()))}; "
         f"disagreements: {len(bad)}",
         file=sys.stderr,
     )

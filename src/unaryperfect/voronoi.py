@@ -111,14 +111,18 @@ def neighbor_step(
     are evaluated only for the pullback's crossings.  The vertex is built
     from that trial's integer data alone.
 
-    The opening ceiling has denominator 4*(p+1)*4^j, with the least j
+    The opening ceiling has denominator D = 4*p*4^j, with the least j
     that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
     1/sqrt(d) - s0 = N/(p*sqrt(d)*(p + q*sqrt(d))) exceeds
     N/(2*p^2*(isqrt(d) + 1)), and a ceiling with denominator D lies
-    within 1/D of 1/sqrt(d).  The first trial's reduction starts from a
-    basis through vec, which is minimal at s0, and each later one from
-    the reduced basis of the trial before it, so a step costs the same
-    few Gauss steps wherever it lies in the period.
+    within 1/D of 1/sqrt(d).  D is a multiple of p, so the first
+    midpoint has a denominator dividing 2*D, not one near p*D, and each
+    push, to a ceiling with 4 times the denominator, raises that bound
+    at most 12-fold: a trial's label stays near the size of the vertex
+    it seeks.  The first trial's reduction starts from a basis through
+    vec, which is minimal at s0, and each later one from the reduced
+    basis of the trial before it, so a step costs the same few Gauss
+    steps wherever it lies in the period.
     """
     d = field.d
     p, q = pair
@@ -129,7 +133,7 @@ def neighbor_step(
     basis = _basis_through(*vec)
     forms = _support_forms(d)
     a_ic, a_sc = _line_of_basis_vec(forms, *vec)
-    base = 4 * (p + 1)
+    base = 4 * p
     # base * r is the least multiple of base above the bound; 4^j >= r
     r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
     denom = base << 2 * (((r - 1).bit_length() + 1) // 2)

@@ -431,6 +431,9 @@ def test_scan_records_frozen(capsys):
 class _SerialPool:
     """Stands in for ProcessPoolExecutor and maps in this process."""
 
+    def __init__(self, max_workers=None):
+        self.chunksizes = []
+
     def __enter__(self):
         return self
 
@@ -438,6 +441,7 @@ class _SerialPool:
         return False
 
     def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -449,21 +453,121 @@ class _SerialPool:
         (7, 100000, 64, 5),  # 5 fields
         (20, 100000, None, None),  # unknown CPU count: one process, no pool
         (20, 2, 1, None),
+        (300, 2, 2, 2),  # 183 fields: a quarter per worker would be 22
     ],
 )
 def test_scan_pool_size_is_bounded(monkeypatch, tmp_path, hi, jobs, cpus, size):
     sizes = []
+    pools = []
 
     def pool(max_workers):
         sizes.append(max_workers)
-        return _SerialPool()
+        pools.append(_SerialPool())
+        return pools[-1]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     out = tmp_path / "a.csv"
     assert main(["scan", "2", str(hi), "--jobs", str(jobs), "--out", str(out)]) == 0
     assert sizes == ([] if size is None else [size])
+    # a worker holds one chunk of records at a time
+    assert all(1 <= chunk <= 16 for p in pools for chunk in p.chunksizes)
     assert out.read_text() == render_csv([build_record(d) for d in squarefree_sieve(2, hi)])
+
+
+def _route_scan(monkeypatch, path):
+    """scan arguments for one path: one process, or the pool, run in this process."""
+    if path == "pool":
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        return ["--jobs", "2"]
+    return ["--jobs", "1"]
+
+
+@pytest.mark.parametrize("path", ["one process", "pool"])
+@pytest.mark.parametrize("fmt,renderer", [("csv", "_csv_row"), ("json", "_json_item")])
+def test_scan_renders_each_record_as_it_arrives(monkeypatch, tmp_path, path, fmt, renderer):
+    # a scan keeps rendered text, not records: each record is rendered
+    # before the field two places later is built
+    events = []
+    build, render = cli.build_record, getattr(cli, renderer)
+
+    def logged_build(d):
+        events.append(("build", d))
+        return build(d)
+
+    def logged_render(record):
+        events.append(("render", record.d))
+        return render(record)
+
+    monkeypatch.setattr(cli, "build_record", logged_build)
+    monkeypatch.setattr(cli, renderer, logged_render)
+    out = tmp_path / "scan.out"
+    argv = ["scan", "2", "60", "--format", fmt, "--out", str(out)]
+    assert main(argv + _route_scan(monkeypatch, path)) == 0
+    ds = squarefree_sieve(2, 60)
+    at = {event: i for i, event in enumerate(events)}
+    assert len(at) == len(events) == 2 * len(ds)
+    for d, later in zip(ds, ds[2:]):
+        assert at["render", d] < at["build", later], d
+    expected = (render_csv if fmt == "csv" else render_json)([build(d) for d in ds])
+    assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("path", ["one process", "pool"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_scan_checks_out_before_the_first_field(monkeypatch, tmp_path, capsys, path, where):
+    # an --out that cannot be written is bad input, found before any walk
+    walked = []
+    monkeypatch.setattr(cli, "build_record", walked.append)
+    out = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
+    assert main(["scan", "2", "2000", "--out", str(out)] + _route_scan(monkeypatch, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err.splitlines()[0]
+    assert walked == []
+    assert sorted(tmp_path.iterdir()) == []
+
+
+def test_scan_out_takes_dev_stdout():
+    # /dev/stdout exists in a directory most users cannot write
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    done = subprocess.run(
+        [sys.executable, "-m", "unaryperfect", "scan", "2", "30", "--out", "/dev/stdout"],
+        env=_package_env(),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == render_csv([build_record(d) for d in squarefree_sieve(2, 30)])
+    assert done.stderr.startswith("scanned 18 fields;")
+
+
+@pytest.mark.parametrize("path", ["one process", "pool"])
+@pytest.mark.parametrize("dest", ["stdout", "missing", "existing"])
+def test_scan_failing_field_writes_nothing(monkeypatch, tmp_path, capsys, path, dest):
+    # a field that raises midway is a bug: exit 3, and no output at all
+    original = cli.build_record
+
+    def fails_at_31(d):
+        if d == 31:
+            raise ValueError("synthetic")
+        return original(d)
+
+    monkeypatch.setattr(cli, "build_record", fails_at_31)
+    out = tmp_path / "scan.csv"
+    if dest == "existing":
+        out.write_bytes(b"d,nK\r\nearlier bytes")
+    argv = ["scan", "2", "60"] + ([] if dest == "stdout" else ["--out", str(out)])
+    assert main(argv + _route_scan(monkeypatch, path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal error: ValueError: synthetic" in captured.err
+    assert "scanned" not in captured.err
+    if dest == "existing":
+        assert out.read_bytes() == b"d,nK\r\nearlier bytes"
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -180,7 +180,7 @@ def test_trial_cap_overrun_is_an_invariant_error(monkeypatch):
 
 def test_walk_work_is_flat_along_the_period(monkeypatch):
     # d = 1394942 has period 220 and pairs up to 753 bits; a ceiling search
-    # from 4*(p+1) or a reduction from the standard basis costs rounds in
+    # from 4*p or a reduction from the standard basis costs rounds in
     # proportion to bits(p): 21 ceilings and 80 Gauss steps per reduction
     calls = Counter()
 
@@ -208,6 +208,29 @@ def test_walk_work_is_flat_along_the_period(monkeypatch):
         md = min_data(form(field, cls))
         assert (md.mu, coords(md.vectors)) == (cls.mu, cls.min_vectors)
 
+
+def test_trial_labels_stay_near_the_class_labels(monkeypatch):
+    # each trial's ceiling has a denominator that is a multiple of the
+    # step's p, so the trial labels grow by bounded factors from the
+    # vertex's: a trial's leading coefficient A = 2*p_t has at most 32
+    # bits over twice the largest class p (25 at worst for d <= 3000).
+    # Ceilings from 4*(p+1) reached 556 bits at d = 919, whose largest
+    # class p has 187
+    seen = []
+    reduce = voronoi._reduce_ints
+
+    def logged(A, B, C, start):
+        seen.append(A)
+        return reduce(A, B, C, start)
+
+    monkeypatch.setattr(voronoi, "_reduce_ints", logged)
+    for d in range(2, 1001):
+        if not is_squarefree(d):
+            continue
+        seen.clear()
+        result = walk_classes(FieldDesc(d))
+        b = max(c.pair[0] for c in result.classes).bit_length()
+        assert max(A.bit_length() for A in seen) <= 2 * b + 32, d
 
 WALK_TABLE = {
     2: [(2, 1)],
