@@ -11,10 +11,14 @@ as a shell reports a filter killed by that signal).
 Scan output is deterministic: records are emitted in ascending d and
 all vector lists are sorted, so reruns and different worker counts
 produce identical bytes.  A scan renders each record into its CSV row
-or JSON item as the results arrive in that order, and drops it, so it
-holds its output text and at most 16 records per pool worker, one
-chunk.  Near d = 10^5 a CSV row is about 160 bytes and a record
-about 100 KB; JSON text is about as large as its records.
+or JSON item as the results arrive in that order, and drops it.  One
+process holds one record at a time besides its output text.  A pool
+chunk is at most 16 fields, and a finished chunk's records wait in the
+parent only while an earlier chunk is unfinished; Executor.map submits
+every chunk at once, so that wait has no fixed bound, and the measured
+one is CI's check that scan 2 3000 peaks below 28 MB.  Near d = 10^5 a
+CSV row is about 160 bytes and a record about 100 KB; JSON text is
+about as large as its records.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .family import (
     predicted_a3_minimum,
 )
 from .quadfield import FieldDesc, QuadFieldError, SizeLimitError, fraction_str
-from .quadfield import primitive_normalize
 from .traceform import _min_coords, brute_force_min
 from .voronoi import PerfectForm, walk_classes
 
@@ -346,21 +349,20 @@ def cmd_verify_family(args) -> int:
         a1, a2 = construct_a1_a2(field)
         a3 = construct_a3(unit)
         reps = {"a1": a1, "a2": a2, "a3": a3}
-        rays = {name: primitive_normalize(rep) for name, rep in reps.items()}
         problems = []
         if result.class_count != 3:
             problems.append(f"class count {result.class_count} != 3")
         else:
             matches = []
-            for name, ray in rays.items():
-                j = result._ray_index(ray)
+            for name, rep in reps.items():
+                j = result.class_index(rep)
                 if j is None:
                     problems.append(f"{name} matched walk classes []")
                 else:
                     matches.append(j)
             if len(set(matches)) != len(matches):
                 problems.append(f"representatives collided on classes {matches}")
-        mins = {name: _min_coords(rep, rays[name]) for name, rep in reps.items()}
+        mins = {name: _min_coords(rep) for name, rep in reps.items()}
         mu3, vecs3 = mins["a3"]
         want_mu = predicted_a3_minimum(params)
         if mu3 != want_mu:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, is_squarefree
-from .traceform import _both_signs
+from .traceform import _both_signs, _vector_set
 from .units import FundamentalUnit, fundamental_unit
 
 TAG_T1 = "T1"
@@ -168,8 +168,8 @@ def construct_a3(unit: FundamentalUnit) -> FieldElem:
 
 def _predicted_coords(
     which: str, field: FieldDesc, unit: FundamentalUnit | None = None
-) -> frozenset[tuple[int, int]]:
-    """Closed-form minimal vectors of a1, a2, or a3, as basis coordinates with both signs.
+) -> tuple[tuple[int, int], ...]:
+    """Closed-form minimal vectors of a1, a2, or a3, in basis coordinates (_both_signs).
 
     On d = 2, 3 (mod 4), omega = sqrt(d), so (u, v) is u + v*sqrt(d).
     a1 gets {+-(1, 0), +-(n, -1)}, enlarged by +-(n - 1, -1) on the
@@ -210,9 +210,7 @@ def predicted_minimal_set(
     gets {+-(n - sqrt(d)), +-conj(unit)*(n + sqrt(d))}.  All need
     d = 2, 3 (mod 4).
     """
-    return frozenset(
-        field.from_basis_coords(u, v) for u, v in _predicted_coords(which, field, unit)
-    )
+    return _vector_set(field, _predicted_coords(which, field, unit))
 
 
 # -- the (m, k, delta) family ----------------------------------------------

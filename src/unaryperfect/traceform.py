@@ -111,31 +111,29 @@ class MinData:
     vectors: frozenset[FieldElem]
 
 
-def _both_signs(coords) -> frozenset[tuple[int, int]]:
-    """The vectors coords, one per +-pair, with both signs."""
-    return frozenset(c for u, v in coords for c in ((u, v), (-u, -v)))
+def _both_signs(coords) -> tuple[tuple[int, int], ...]:
+    """The vectors coords, one per +-pair, with both signs, sorted, as in PerfectForm."""
+    return tuple(sorted(c for u, v in coords for c in ((u, v), (-u, -v))))
 
 
 def _vector_set(field: FieldDesc, coords) -> frozenset[FieldElem]:
     return frozenset(field.from_basis_coords(u, v) for u, v in coords)
 
 
-def _min_coords(
-    x: FieldElem, ray: tuple[int, int]
-) -> tuple[Fraction, frozenset[tuple[int, int]]]:
-    """Minimum of x, and its minimal vectors as basis coordinates with both signs.
+def _min_coords(x: FieldElem) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
+    """Minimum of x, and its minimal vectors in basis coordinates (_both_signs).
 
-    ray is primitive_normalize(x), passed in so that a caller holding it
-    does not compute it twice.  The form of the label p + q*sqrt(d) is
-    p/a times that of x = a + b*sqrt(d) and has the same vectors.
+    The form of the label p + q*sqrt(d) is p/a times that of
+    x = a + b*sqrt(d) and has the same vectors.
     """
-    m, vecs = _min_vectors_ints(*_reduce_ints(*_trace_form_ints(x.field.d, *ray)))
-    return Fraction(m * x.a, ray[0]), _both_signs(vecs)
+    p, q = primitive_normalize(x)
+    m, vecs = _min_vectors_ints(*_reduce_ints(*_trace_form_ints(x.field.d, p, q)))
+    return Fraction(m * x.a, p), _both_signs(vecs)
 
 
 def min_data(x: FieldElem) -> MinData:
     """Minimum of Tr(x * y^2) over nonzero integral y, with its vectors."""
-    mu, coords = _min_coords(x, primitive_normalize(x))
+    mu, coords = _min_coords(x)
     return MinData(mu, _vector_set(x.field, coords))
 
 

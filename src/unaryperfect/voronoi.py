@@ -42,7 +42,7 @@ from math import gcd, isqrt
 
 from .quadfield import FieldDesc, FieldElem, _omega, primitive_normalize
 from .quadfield import InvariantError, QuadFieldError, SizeLimitError
-from .traceform import _min_vectors_ints, _reduce_ints, _trace_form_ints
+from .traceform import _both_signs, _min_vectors_ints, _reduce_ints, _trace_form_ints
 from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
@@ -151,9 +151,7 @@ def neighbor_step(
         mu, vecs = _min_vectors_ints(triple, basis)
         if vec in vecs or (-vec[0], -vec[1]) in vecs:
             if len(vecs) >= 2:
-                return PerfectForm(
-                    (p_t, q_t), mu, tuple(sorted([*vecs, *((-u, -v) for u, v in vecs)]))
-                )
+                return PerfectForm((p_t, q_t), mu, _both_signs(vecs))
             denom *= 4
             upper = _below_boundary(d, denom)
             s_t = s_t + (upper - s_t) * Fraction(2, 3)
@@ -216,23 +214,17 @@ class WalkResult:
         return len(self.classes)
 
     def class_index(self, x: FieldElem) -> int | None:
-        """Index of the walked class that x spans, or None if x spans no class."""
-        if not x.is_totally_positive():
-            raise QuadFieldError("class comparison needs totally positive forms")
+        """Index of the walked class that x spans, or None if x spans no class.
+
+        x must be a totally positive form of this field (QuadFieldError
+        otherwise).  The walked pairs are the rays of one period, in the
+        window [classes[0], classes[0]*eps2); x's ray label is moved into
+        that window and looked up among them, in integers.
+        """
         if x.field != self.field:
             raise QuadFieldError("elements of different fields")
-        return self._ray_index(primitive_normalize(x))
-
-    def _ray_index(self, ray: tuple[int, int]) -> int | None:
-        """class_index for the ray label of a totally positive form of this field.
-
-        The walked pairs are the rays of one period, in the window
-        [classes[0], classes[0]*eps2); the ray is moved into that window
-        and looked up among them, in integers.
-        """
-        ray = _into_window(
-            self.field.d, ray, self.classes[0].pair, primitive_normalize(self.eps2)
-        )
+        lo, unit = self.classes[0].pair, primitive_normalize(self.eps2)
+        ray = _into_window(self.field.d, primitive_normalize(x), lo, unit)
         for j, cls in enumerate(self.classes):
             if cls.pair == ray:
                 return j
@@ -241,17 +233,19 @@ class WalkResult:
 
 def _closing_vectors(
     field: FieldDesc, unit: FundamentalUnit, first: PerfectForm
-) -> frozenset[tuple[int, int]]:
+) -> tuple[tuple[int, int], ...]:
     """Minimal vectors of first*eps^2, in basis coordinates: eps^-1 times first's.
 
-    eps^-1 = N(eps)*eps' is integral, e0 + e1*omega, and each product
-    (u + v*omega)*(e0 + e1*omega) reduces omega^2 = t*omega + n.
-    first.min_vectors holds both signs, so the set does too.
+    For eps = e0 + e1*omega, omega' = t - omega gives eps^-1 = N(eps)*eps'
+    = f0 + f1*omega, and each product (u + v*omega)*(f0 + f1*omega)
+    reduces omega^2 = t*omega + n.  The walk only tests membership, so
+    the vectors keep first.min_vectors' order, with both signs.
     """
-    e0, e1 = (unit.value.conj() * unit.norm_sign).basis_coords()
     _, t, n = _omega(field.d)
-    return frozenset(
-        (u * e0 + n * v * e1, u * e1 + v * e0 + t * v * e1) for u, v in first.min_vectors
+    e0, e1 = unit.value.basis_coords()
+    f0, f1 = unit.norm_sign * (e0 + t * e1), -unit.norm_sign * e1
+    return tuple(
+        (u * f0 + n * v * f1, u * f1 + v * f0 + t * v * f1) for u, v in first.min_vectors
     )
 
 

@@ -9,7 +9,7 @@ and the classes as the edges of a convex hull instead of a probe walk.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator
 
 from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError, SizeLimitError
@@ -145,51 +145,59 @@ def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:
     raise SearchExhaustedError(f"no unit for d={d} within bound {bound}")
 
 
-def hull_edges(d: int) -> list[tuple[int, int]]:
-    """Rays (p, q) of the lower hull edges of the relative minima over one period.
+def hull_records(
+    d: int,
+) -> list[tuple[tuple[int, int], Fraction, tuple[tuple[int, int], ...]]]:
+    """(pair, mu, min_vectors) of each lower hull edge of the relative minima over one period.
 
     The relative minima of the maximal order from 1 to the fundamental
-    unit are y_0 = 1 and y_k = p_{k-1} - q_{k-1}*omega' for k = 1 .. L,
-    with p_k/q_k the convergents of omega and L its period.  Each y is
-    taken to the integer point (a, b) with (2y)^2 = a + b*sqrt(d), and a
-    monotone chain keeps the hull.  Collinear points are popped, so an
-    edge through three points is one class.  The edge from P_0 to P_1
-    spans the class of sqrt(d)*(y_1^2 - y_0^2), whose ray is
-    d*(b1 - b0) + (a1 - a0)*sqrt(d).
+    unit are y_0 = 1 and y_k = p_{k-1} - q_{k-1}*omega for k = 1 .. L,
+    with p_k/q_k the convergents of omega = (t + sqrt(d))/g and L its
+    period, written (u, v) for u + v*omega.  With x = g*u + t*v,
+    (g*y)^2 = A + (D/d)*sqrt(d) for the point (A, D) = (x^2 + d*v^2,
+    2*d*x*v), so the form p + q*sqrt(d) takes the value
+    2*(p*A + q*D)/g^2 at y.  A monotone chain keeps the lower hull,
+    popping collinear points, so an edge through three points is one
+    class.  An edge's pair is the primitive normal (p, q), p > 0, on
+    which both endpoints take the same value, mu is that value, and its
+    minimal vectors are every y whose point lies on the edge, with both
+    signs, sorted.
     """
-    s = isqrt(d)
-    half = d % 4 == 1
-
-    def point(p: int, q: int) -> tuple[int, int]:
-        if half:  # omega' = (1 - sqrt(d))/2, so 2y = (2p - q) + q*sqrt(d)
-            u = 2 * p - q
-            return u * u + d * q * q, 2 * u * q
-        return 4 * (p * p + d * q * q), 8 * p * q  # omega' = -sqrt(d)
-
-    # omega = (P + sqrt(d))/Q; each complete quotient keeps Q | d - P^2
-    P, Q = (1, 2) if half else (0, 1)
-    a = (P + s) // Q
-    p0, p1, q0, q1 = 1, a, 0, 1
-    P = a * Q - P
-    Q = (d - P * P) // Q
-    first = (P, Q)
-    points = [point(1, 0)]
-    while True:
-        points.append(point(p1, q1))
-        a = (P + s) // Q
+    g, t = (2, 1) if d % 4 == 1 else (1, 0)
+    a0 = (t + isqrt(d)) // g
+    P = a0 * g - t
+    # the complete quotient after a_0 is purely periodic, and its period
+    # ends on a_L, which the convergents up to p_{L-1} do not use
+    quotients = [a0] + [a for a, _, _ in period_states(d, P, (d - P * P) // g)][:-1]
+    ys = [(1, 0)]
+    (p0, p1), (q0, q1) = (0, 1), (1, 0)
+    for a in quotients:
         p0, p1 = p1, a * p1 + p0
         q0, q1 = q1, a * q1 + q0
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        if (P, Q) == first:
-            break
+        ys.append((p1, -q1))
 
-    hull: list[tuple[int, int]] = []
-    for a2, b2 in points:
+    def point(u: int, v: int) -> tuple[int, int]:
+        x = g * u + t * v
+        return x * x + d * v * v, 2 * d * x * v
+
+    points = [point(*y) for y in ys]
+    hull: list[int] = []
+    for k, (A2, D2) in enumerate(points):
         while len(hull) >= 2:
-            (a0, b0), (a1, b1) = hull[-2], hull[-1]
-            if (b1 - b0) * (a2 - a0) - (a1 - a0) * (b2 - b0) > 0:
+            (A0, D0), (A1, D1) = points[hull[-2]], points[hull[-1]]
+            if (A1 - A0) * (D2 - D0) - (D1 - D0) * (A2 - A0) > 0:
                 break
             hull.pop()
-        hull.append((a2, b2))
-    return [(d * (b1 - b0), a1 - a0) for (a0, b0), (a1, b1) in zip(hull, hull[1:])]
+        hull.append(k)
+
+    records = []
+    for i, j in zip(hull, hull[1:]):
+        (A0, D0), (A1, D1) = points[i], points[j]
+        p, q = D1 - D0, A0 - A1
+        h = gcd(p, q) if p > 0 else -gcd(p, q)
+        p, q = p // h, q // h
+        value = p * A0 + q * D0
+        on = [y for y, (A, D) in zip(ys[i : j + 1], points[i : j + 1]) if p * A + q * D == value]
+        vectors = tuple(sorted(c for u, v in on for c in ((u, v), (-u, -v))))
+        records.append(((p, q), Fraction(2 * value, g * g), vectors))
+    return records

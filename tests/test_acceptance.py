@@ -12,7 +12,7 @@ from math import isqrt
 
 from oracles import (
     SearchExhaustedError,
-    hull_edges,
+    hull_records,
     power,
     real_sign,
     trace_form,
@@ -344,18 +344,19 @@ def test_criterion_7_invariance_and_symmetry():
 def test_criterion_8_hull_edges_are_the_walked_classes():
     """Over every squarefree d in [2, 3000]: the lower hull of the
     relative minima over one unit period, an exact oracle independent of
-    the walk, has one edge per walked class, and the edges' rays meet
-    every class once."""
+    the walk, has one edge per walked class, in the walk's order, with
+    the class's ray, minimum and minimal vectors; and the edges' rays
+    meet every class once."""
     t0 = time.monotonic()
     ds = squarefree_sieve(2, 3000)
     classes = 0
     for d in ds:
         walk = _walk(d)
-        edges = hull_edges(d)
-        assert len(edges) == walk.class_count, d
-        hits = [walk.class_index(walk.field.element(p, q)) for p, q in edges]
+        records = hull_records(d)
+        assert [(c.pair, c.mu, c.min_vectors) for c in walk.classes] == records, d
+        hits = [walk.class_index(walk.field.element(*pair)) for pair, _, _ in records]
         assert None not in hits, d
         assert sorted(hits) == list(range(walk.class_count)), d
-        classes += len(edges)
+        classes += len(records)
     assert len(ds) == 1823 and classes == 24805
-    _passed(8, f"{len(ds)} fields, {classes} hull edges, one per class", t0)
+    _passed(8, f"{len(ds)} fields, {classes} hull edges, one per class, whole records", t0)

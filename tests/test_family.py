@@ -32,7 +32,6 @@ from unaryperfect.family import (
     predicted_minimal_set,
 )
 from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
-from unaryperfect.quadfield import primitive_normalize
 from unaryperfect.traceform import _min_coords, min_data
 from unaryperfect.units import FundamentalUnit, fundamental_unit
 
@@ -246,7 +245,7 @@ def _check_coordinates(field, unit=None):
         assert predicted_minimal_set(which, field, unit) == want, (field.d, which)
         x = reps[which]
         data = min_data(x)
-        mu, got = _min_coords(x, primitive_normalize(x))
+        mu, got = _min_coords(x)
         assert mu == data.mu
         assert {field.from_basis_coords(u, v) for u, v in got} == data.vectors, (field.d, which)
         assert got == coords, (field.d, which)
