@@ -5,6 +5,14 @@ The ring of integers is Z[omega], omega = (t + sqrt(d))/g, omega^2 =
 t*omega + n, and every formula on that basis reads (g, t, n) from
 _omega.  No floating point is used anywhere.  Every module imports
 this one, so the package's three error kinds are defined here.
+
+Fraction only holds values; signs and integrality are decided on
+integers.  x = a + b*sqrt(d) is totally positive exactly when its
+cross-multiplied pair p = num(a)*den(b), q = num(b)*den(a), the
+positive integer multiple p + q*sqrt(d) of x, has p > 0 and
+p^2 > d*q^2 (_positive_pair).  x is integral exactly when g*b and
+a - t*b, its coordinates over {1, omega}, come out of an exact integer
+divmod of those numerators and denominators (_integer_coords).
 """
 
 from __future__ import annotations
@@ -61,15 +69,31 @@ def is_squarefree(d: int) -> bool:
         n //= 2
         if n % 2 == 0:
             return False
-    p = 3
-    while p * p * p <= d:
+    for p in range(3, _icbrt(d) + 1, 2):
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return False
-        p += 2
     r = isqrt(n)
     return r <= 1 or r * r != n
+
+
+def _icbrt(n: int) -> int:
+    """The integer cube root: the c with c^3 <= n < (c + 1)^3, for n >= 0.
+
+    Newton's method on ints from a start above the root.  Each step
+    (2*x + n // x^2) // 3 stays at or above the root, by the AM-GM
+    inequality, and falls strictly while x^3 > n, so the first step that
+    does not fall starts from the root.
+    """
+    if n < 1:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def _omega(d: int) -> tuple[int, int, int]:
@@ -196,19 +220,18 @@ class FieldElem:
 
     def is_totally_positive(self) -> bool:
         """Positive under both real embeddings."""
-        return self.a > 0 and self.a * self.a > self.field.d * self.b * self.b
+        return _positive_pair(self.field.d, *_cross_pair(self))
 
     def is_integral(self) -> bool:
         """Membership in the ring of integers: g*b and a - t*b are integers."""
-        g, t, _ = _omega(self.field.d)
-        return (self.b * g).denominator == 1 and (self.a - self.b * t).denominator == 1
+        return _integer_coords(self) is not None
 
     def basis_coords(self) -> tuple[int, int]:
         """Coordinates (a - t*b, g*b) of self over {1, omega}; integral elements only."""
-        if not self.is_integral():
+        coords = _integer_coords(self)
+        if coords is None:
             raise QuadFieldError(f"{self} is not integral")
-        g, t, _ = _omega(self.field.d)
-        return int(self.a - self.b * t), int(self.b * g)
+        return coords
 
     # -- rendering -------------------------------------------------------
 
@@ -228,13 +251,39 @@ class FieldElem:
         return f"FieldElem({self.field.d}: {self})"
 
 
+def _cross_pair(x: FieldElem) -> tuple[int, int]:
+    """(num(a)*den(b), num(b)*den(a)): x times the positive integer den(a)*den(b)."""
+    a, b = x.a, x.b
+    return a.numerator * b.denominator, b.numerator * a.denominator
+
+
+def _positive_pair(d: int, p: int, q: int) -> bool:
+    """Whether p + q*sqrt(d) is positive under both embeddings, in integers."""
+    return p > 0 and p * p > d * q * q
+
+
+def _integer_coords(x: FieldElem) -> tuple[int, int] | None:
+    """x's coordinates (a - t*b, g*b) over {1, omega} if both are integers, else None.
+
+    g*b = g*num(b)/den(b) is an integer v when that division leaves no
+    remainder, and then a - t*b = (g*num(a) - t*v*den(a))/(g*den(a)).
+    """
+    g, t, _ = _omega(x.field.d)
+    a, b = x.a, x.b
+    v, r = divmod(g * b.numerator, b.denominator)
+    if r:
+        return None
+    u, r = divmod(g * a.numerator - t * v * a.denominator, g * a.denominator)
+    return None if r else (u, v)
+
+
 def primitive_normalize(x: FieldElem) -> tuple[int, int]:
     """Canonical label of the ray of positive rational multiples of x.
 
     The coprime pair (p, q), p > 0, with p + q*sqrt(d) on that ray.
     """
-    if not x.is_totally_positive():
+    p, q = _cross_pair(x)
+    if not _positive_pair(x.field.d, p, q):
         raise QuadFieldError(f"{x} is not totally positive")
-    p, q = x.a.numerator * x.b.denominator, x.b.numerator * x.a.denominator
     g = gcd(p, q)
     return p // g, q // g

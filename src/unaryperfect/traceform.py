@@ -128,7 +128,7 @@ def _min_coords(x: FieldElem) -> tuple[Fraction, tuple[tuple[int, int], ...]]:
     """
     p, q = primitive_normalize(x)
     m, vecs = _min_vectors_ints(*_reduce_ints(*_trace_form_ints(x.field.d, p, q)))
-    return Fraction(m * x.a, p), _both_signs(vecs)
+    return Fraction(m * x.a.numerator, p * x.a.denominator), _both_signs(vecs)
 
 
 def min_data(x: FieldElem) -> MinData:

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError, _omega
+from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
+from .quadfield import _cross_pair, _omega
 
 _STEP_CAP = 10**6
 _FOLD = 1 << 60  # the block folds into the big pair past this (module docstring)
@@ -118,5 +119,12 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
 
 
 def unit_square(unit: FundamentalUnit) -> FieldElem:
-    """The totally positive generator eps^2 of the group acting on forms."""
-    return unit.value * unit.value
+    """The totally positive generator eps^2 of the group acting on forms.
+
+    eps = (p + q*sqrt(d))/s for its cross-multiplied pair (p, q) and
+    s = den(a)*den(b), so eps^2 = (p^2 + d*q^2 + 2*p*q*sqrt(d))/s^2.
+    """
+    eps = unit.value
+    d, s2 = eps.field.d, (eps.a.denominator * eps.b.denominator) ** 2
+    p, q = _cross_pair(eps)
+    return FieldElem(eps.field, Fraction(p * p + d * q * q, s2), Fraction(2 * p * q, s2))

@@ -295,9 +295,9 @@ def classes_equal(x: FieldElem, y: FieldElem, eps2: FieldElem) -> bool:
 
     Every class has exactly one ray in the window [y, y*eps2), so the
     classes agree exactly when x's ray, moved into that window, is y's.
+    x and y must be totally positive: primitive_normalize raises
+    QuadFieldError for either otherwise.
     """
-    if not (x.is_totally_positive() and y.is_totally_positive()):
-        raise QuadFieldError("class comparison needs totally positive forms")
     # without a norm-1 unit > 1 the steps below need not end
     if not (
         eps2.is_integral()

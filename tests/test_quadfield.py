@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from oracles import real_sign, slope
@@ -13,6 +13,7 @@ from unaryperfect.quadfield import (
     FieldDesc,
     FieldElem,
     QuadFieldError,
+    _icbrt,
     fraction_str,
     is_squarefree,
     primitive_normalize,
@@ -37,12 +38,61 @@ def elems(draw, n=1, nonzero=False):
     return out[0] if n == 1 else tuple(out)
 
 
+def _sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p in range(limit + 1) if flags[p]]
+
+
+PRIMES = _sieve(10**5)
+
+
 def test_squarefree_against_naive():
-    for n in range(1, 2000):
+    cases = list(range(1, 2000))
+    # the edge of the bound: the trial division stops at the cube root
+    cases += [k**3 + e for k in range(2, 200) for e in (-1, 0, 1)]
+    # p^2*m with p <= m < p + 6 has cube root p or p + 1, so p is the
+    # last trial divisor; skipping it leaves p^2*m, not a square when m
+    # is not, for the final test to pass as squarefree
+    cases += [p * p * m for p in PRIMES[1:] if p < 1000 for m in range(p, p + 6)]
+    for n in cases:
         naive = all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
         assert is_squarefree(n) == naive, n
     assert not is_squarefree(0)
     assert not is_squarefree(-4)
+
+
+@given(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=6), st.booleans())
+def test_squarefree_on_known_factorizations(primes, square):
+    # samples up to 10^15, too large for the naive search: each is a
+    # product of known primes, squarefree exactly when none repeats
+    if square:
+        primes = [*primes, primes[-1]]
+    n, used = 1, []
+    for p in primes:
+        if n * p <= 10**15:
+            n *= p
+            used.append(p)
+    assert is_squarefree(n) == (len(set(used)) == len(used)), used
+
+
+@given(st.integers(0, 10**40))
+@example(0)
+@example(1)
+@example(7)
+@example(8)
+def test_icbrt_brackets_the_cube_root(n):
+    c = _icbrt(n)
+    assert c**3 <= n < (c + 1) ** 3
+
+
+@given(st.integers(1, 10**13))
+def test_icbrt_at_a_cube(k):
+    assert _icbrt(k**3) == k
+    assert _icbrt(k**3 - 1) == k - 1
 
 
 @pytest.mark.parametrize("bad", [1, 0, -5, 4, 12, 18, 999999999999999998 << 2])
@@ -243,12 +293,25 @@ def test_primitive_label_is_scale_invariant(x, lam):
     assert math.gcd(p, q) == 1 and p > 0
 
 
-def test_normalize_requires_totally_positive():
-    F = FieldDesc(7)
-    with pytest.raises(QuadFieldError):
-        primitive_normalize(F.element(1, 1))  # 1 + sqrt(7) has negative conjugate
-    with pytest.raises(QuadFieldError):
-        slope(F.element(-2))
+@given(elems())
+@example(FieldDesc(7).element(1, 1))  # 1 + sqrt(7) has negative conjugate
+@example(FieldDesc(7).element(-2))
+@example(FieldDesc(2).element(0, 1))
+@example(FieldDesc(5).element(Fraction(3, 2)))
+@example(FieldDesc(3).element(0))
+def test_normalize_requires_totally_positive(x):
+    # the integer rule on the cross-multiplied pair, against the sign oracle
+    positive = real_sign(x) > 0 and real_sign(x.conj()) > 0
+    assert x.is_totally_positive() == positive
+    if not positive:
+        with pytest.raises(QuadFieldError):
+            primitive_normalize(x)
+        with pytest.raises(QuadFieldError):
+            slope(x)
+        return
+    p, q = primitive_normalize(x)
+    assert p > 0 and math.gcd(p, q) == 1
+    assert p * x.b == q * x.a  # with p, a > 0: p + q*sqrt(d) is on x's ray
 
 
 @given(tp_elems())

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from unaryperfect import traceform, voronoi
-from unaryperfect.family import generate_family
+from unaryperfect.family import construct_a1_a2, construct_a3, generate_family, nr_decompose
 from unaryperfect.quadfield import (
     FieldDesc,
+    FieldElem,
     InvariantError,
     QuadFieldError,
     is_squarefree,
@@ -408,6 +409,40 @@ def test_classes_equal_rejects_bad_eps2():
     F2 = FieldDesc(2)
     with pytest.raises(QuadFieldError):
         classes_equal(F2.one(), F2.one(), F2.element(1, 1))  # norm -1
+
+
+def _no_field_arithmetic(*args):
+    raise AssertionError("field-element arithmetic on the integer per-field path")
+
+
+# 1007 and 1230323435 are the family members (m, k, delta) = (3, 2, +1)
+# and (29, 39, +1)
+@pytest.mark.parametrize("d", [7, 33, 94, 1007, 1230323435])
+def test_per_field_path_runs_on_integers(d, monkeypatch):
+    # the walk, the unit square, and the class lookup and minimum of every
+    # class form and representative decide signs and integrality on ints
+    field = FieldDesc(d)
+    reps = []
+    if not field.half_basis and nr_decompose(d)[1] not in (1, -1):
+        reps = list(construct_a1_a2(field))
+    for name in ("__mul__", "is_totally_positive", "is_integral"):
+        monkeypatch.setattr(FieldElem, name, _no_field_arithmetic)
+    walk = walk_classes(field)
+    assert unit_square(walk.unit) == walk.eps2
+    if reps and walk.unit.norm_sign == 1:
+        reps.append(construct_a3(walk.unit))
+    for j, cls in enumerate(walk.classes):
+        x = form(field, cls)
+        assert walk.class_index(x) == j
+        assert traceform._min_coords(x) == (cls.mu, cls.min_vectors)
+    found = [walk.class_index(x) for x in reps]
+    for x in reps:
+        traceform._min_coords(x)
+    assert len(reps) == (0 if d == 33 else 3)
+    # a1 and a2 are perfect wherever they exist; a3 too in the family
+    assert None not in found[:2]
+    if d in (1007, 1230323435):
+        assert sorted(found) == [0, 1, 2]
 
 
 def _positive_element(field, q, t, s, extra):
