@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError, is_squarefree
+from .quadfield import FieldDesc, FieldElem, InvariantError, QuadFieldError
 from .traceform import _both_signs, _vector_set
 from .units import FundamentalUnit, fundamental_unit
 
@@ -136,17 +136,23 @@ def classify(field: FieldDesc, unit: FundamentalUnit) -> DClass:
 # -- explicit class representatives ---------------------------------------
 
 
+def _a1_a2_nr(field: FieldDesc) -> tuple[int, int]:
+    """(n, r) of d = n^2 + r, under the hypothesis of a1 and a2: d = 2, 3 (mod 4), r != +-1."""
+    if field.half_basis:
+        raise QuadFieldError("a1 and a2 need d = 2, 3 (mod 4)")
+    n, r = nr_decompose(field.d)
+    if r in (1, -1):
+        raise QuadFieldError(f"d = {field.d} has r = {r}; a1 and a2 need r != +-1")
+    return n, r
+
+
 def construct_a1_a2(field: FieldDesc) -> tuple[FieldElem, FieldElem]:
     """The conjugate pair of perfect forms present for every valid d.
 
     a1 = 1/2 + ((2n^2 + r - 1)/(4n(n^2 + r)))*sqrt(d), a2 its conjugate;
     needs d = 2, 3 (mod 4) and r != +-1.
     """
-    if field.half_basis:
-        raise QuadFieldError("constructors need d = 2, 3 (mod 4)")
-    n, r = nr_decompose(field.d)
-    if r in (1, -1):
-        raise QuadFieldError(f"d = {field.d} has r = {r}; constructors need r != +-1")
+    n, r = _a1_a2_nr(field)
     a1 = FieldElem(
         field,
         Fraction(1, 2),
@@ -177,23 +183,19 @@ def _predicted_coords(
     needed) gets {+-(n, -1), +-(alpha*n - beta*d, alpha - beta*n)}, the
     second being conj(unit)*(n + sqrt(d)).
     """
-    n, r = nr_decompose(field.d)
     if which in ("a1", "a2"):
-        if field.half_basis or r in (1, -1):
-            raise QuadFieldError("predicted sets need d = 2, 3 (mod 4), r != +-1")
+        n, r = _a1_a2_nr(field)
         vecs = [(1, 0), (n, -1)]
         if r == -(n - 1):
             vecs.append((n - 1, -1))
         if which == "a2":
             vecs = [(u, -v) for u, v in vecs]
     elif which == "a3":
-        if unit is None:
-            raise QuadFieldError("a3 prediction needs the fundamental unit")
-        if unit.norm_sign != 1:
-            raise InvariantError("three-class case requires a norm +1 unit")
-        if field.half_basis:
-            raise QuadFieldError("predicted sets need d = 2, 3 (mod 4)")
-        alpha, beta = int(unit.value.a), int(unit.value.b)
+        if unit is None or field.half_basis:
+            raise QuadFieldError("a3 prediction needs the unit and d = 2, 3 (mod 4)")
+        a3 = construct_a3(unit)
+        n, _ = nr_decompose(field.d)
+        alpha, beta = int(a3.a), int(a3.b)
         vecs = [(n, -1), (alpha * n - beta * field.d, alpha - beta * n)]
     else:
         raise QuadFieldError(f"unknown representative {which!r}")
@@ -234,7 +236,8 @@ def candidate_params(m: int, k: int, delta: int) -> FamilyParams:
 
     beta = m(m+2); l = k*beta + delta*(m+1)/2; d = l^2 - 2*delta*k*(m+1) - 1;
     alpha = k*beta^2 + delta*((m-1)/2*(m+2)^2 + 1).  The Pell identity
-    alpha^2 - d*beta^2 = 1 holds for every (m, k, delta), d square or not.
+    alpha^2 - d*beta^2 = 1 holds for every (m, k, delta), d square or not;
+    m + 1 is even, so d = l^2 - 1 = 0 or 3 (mod 4), and d >= 3.  Both are checked.
     """
     if m < 3 or m % 2 == 0:
         raise QuadFieldError(f"m must be odd >= 3, got {m}")
@@ -246,10 +249,10 @@ def candidate_params(m: int, k: int, delta: int) -> FamilyParams:
     l = k * beta + delta * (m + 1) // 2
     d = l * l - 2 * delta * k * (m + 1) - 1
     alpha = k * beta * beta + delta * ((m - 1) // 2 * (m + 2) ** 2 + 1)
-    params = FamilyParams(m, k, delta, l, d, alpha, beta)
-    if alpha * alpha - d * beta * beta != 1:
-        raise InvariantError(f"Pell identity failed at {params}")
-    return params
+    p = FamilyParams(m, k, delta, l, d, alpha, beta)
+    if p.alpha * p.alpha - p.d * p.beta * p.beta != 1 or p.d < 3 or p.d % 4 in (1, 2):
+        raise InvariantError(f"Pell identity or d >= 3, d = 0, 3 (mod 4) failed at {p}")
+    return p
 
 
 def predicted_a3_minimum(params: FamilyParams) -> int:
@@ -271,9 +274,10 @@ def generate_family(m_max: int, k_max: int, d_cap: int) -> FamilyScan:
 
     Candidates run lexicographically over odd m in [3, m_max], k up to
     k_max, delta = +1 then -1 (delta = -1 starts at k = 1).  A candidate
-    is accepted only if d lands in range, is squarefree, is 2 or 3 mod 4,
-    has r != +-1, and alpha + beta*sqrt(d) is the fundamental unit; a
-    Pell solution need not be fundamental, so this is checked, not assumed.
+    is accepted if d <= d_cap, d is squarefree (so 3 mod 4: every candidate
+    d is 0 or 3), r != +-1 (never at k = 0, where d = l^2 - 1 has r = -1),
+    and alpha + beta*sqrt(d) is the fundamental unit.  A Pell solution need
+    not be, so that is checked, not assumed; it has yet to reject one.
     """
     accepted: list[FamilyParams] = []
     rejected: list[tuple[FamilyParams, str]] = []
@@ -284,23 +288,18 @@ def generate_family(m_max: int, k_max: int, d_cap: int) -> FamilyScan:
                     continue
                 params = candidate_params(m, k, delta)
                 d = params.d
-                if d < 2:
-                    rejected.append((params, "d below 2"))
-                    continue
                 if d > d_cap:
                     rejected.append((params, "d above cap"))
                     continue
-                if not is_squarefree(d):
+                try:
+                    field = FieldDesc(d)
+                except QuadFieldError:
                     rejected.append((params, "d not squarefree"))
-                    continue
-                if d % 4 == 1:
-                    rejected.append((params, "d = 1 (mod 4)"))
                     continue
                 _, r = nr_decompose(d)
                 if r in (1, -1):
                     rejected.append((params, "r = +-1"))
                     continue
-                field = FieldDesc(d)
                 unit = fundamental_unit(field)
                 if unit.value != field.element(params.alpha, params.beta):
                     rejected.append((params, "unit not fundamental"))

@@ -32,7 +32,7 @@ from unaryperfect.cli import (
     render_json,
     squarefree_sieve,
 )
-from unaryperfect.family import classify
+from unaryperfect.family import TAG_T1, DClass, classify
 from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
 from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import PerfectForm
@@ -568,6 +568,35 @@ def test_scan_failing_field_writes_nothing(monkeypatch, tmp_path, capsys, path, 
         assert out.read_bytes() == b"d,nK\r\nearlier bytes"
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("path", ["one process", "pool"])
+def test_scan_reports_a_failed_prediction(monkeypatch, capsys, path):
+    # tagged T1, d = 7 is predicted one class, and the walk finds two
+    real = cli.classify
+
+    def t1_at_7(field, unit):
+        return DClass(TAG_T1) if field.d == 7 else real(field, unit)
+
+    monkeypatch.setattr(cli, "classify", t1_at_7)
+    assert main(["scan", "2", "30"] + _route_scan(monkeypatch, path)) == 1
+    captured = capsys.readouterr()
+    rows = {row[0]: row for row in _csv_rows(captured.out)}
+    assert rows["7"] == ["7", "2", "T1", "8", "3", "1", "1", "false"]
+    assert all(row[7] in ("true", "") for d, row in rows.items() if d != "7")
+    err = captured.err.splitlines()
+    assert err[0].startswith("scanned 18 fields;") and err[0].endswith("disagreements: 1")
+    assert err[1:] == ["prediction failed at d = 7"]
+
+
+def test_scan_failed_final_write_is_exit_2(capsys):
+    # /dev/full passes the check of --out, and the final write fails with ENOSPC
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    assert main(["scan", "2", "30", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 28]")
+    assert "scanned" not in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unaryperfect import family
 from unaryperfect.family import (
     DClass,
     FamilyParams,
@@ -33,7 +34,7 @@ from unaryperfect.family import (
 )
 from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, is_squarefree
 from unaryperfect.traceform import _min_coords, min_data
-from unaryperfect.units import FundamentalUnit, fundamental_unit
+from unaryperfect.units import FundamentalUnit, fundamental_unit, unit_square
 
 
 def u(d, a, b, sign):
@@ -323,6 +324,43 @@ def test_candidate_params_guards(m, k, delta):
         candidate_params(m, k, delta)
 
 
+def test_every_candidate_has_d_at_least_3_and_0_or_3_mod_4():
+    # the grid CI verifies at d-cap 10^30: odd m <= 151, k <= 150
+    ds = [
+        candidate_params(m, k, delta).d
+        for m in range(3, 152, 2)
+        for k in range(151)
+        for delta in ((1,) if k == 0 else (1, -1))
+    ]
+    assert len(ds) == 22575
+    assert min(ds) == 3
+    assert {d % 4 for d in ds} == {0, 3}
+
+
+def test_no_member_at_k_0():
+    # d = l^2 - 1 has r = -1, so generate_family never accepts k = 0
+    for m in range(3, 152, 2):
+        p = candidate_params(m, 0, 1)
+        assert p.d == p.l * p.l - 1
+        assert nr_decompose(p.d) == (p.l, -1)
+
+
+@pytest.mark.parametrize(
+    "d,alpha,beta",
+    [(0, 1, 1), (-1, 0, 1), (5, 9, 4), (6, 5, 2)],
+    ids=["d=0", "d=-1", "d=1 mod 4", "d=2 mod 4"],
+)
+def test_candidate_params_checks_d(monkeypatch, d, alpha, beta):
+    # each record solves Pell, so only the checks on d can refuse it
+    def bad_record(m, k, delta, l, _d, _alpha, _beta):
+        return FamilyParams(m, k, delta, l, d, alpha, beta)
+
+    assert alpha * alpha - d * beta * beta == 1
+    monkeypatch.setattr(family, "FamilyParams", bad_record)
+    with pytest.raises(InvariantError):
+        candidate_params(3, 2, 1)
+
+
 A3_MIN_TABLE = {
     (3, 2, 1): 72,
     (3, 2, -1): 64,
@@ -378,6 +416,23 @@ def test_generate_family_frozen():
         3, 8, 176, 280, 1035, 1431, 1872, 2184, 4512, 5304, 18816, 20400,
     ]
     assert all(is_squarefree(p.d) and p.d % 4 != 1 for p in scan.accepted)
+
+
+def test_generate_family_rejects_a_unit_that_is_not_fundamental(monkeypatch):
+    # no real candidate fails the check, so the unit is replaced by its square
+    monkeypatch.setattr(
+        family,
+        "fundamental_unit",
+        lambda field: FundamentalUnit(unit_square(fundamental_unit(field)), 1),
+    )
+    scan = generate_family(5, 4, 20000)
+    assert scan.accepted == ()
+    assert Counter(reason for _, reason in scan.rejected) == Counter(
+        {"d not squarefree": 10, "r = +-1": 1, "d above cap": 1, "unit not fundamental": 6}
+    )
+    assert [p.d for p, reason in scan.rejected if reason == "unit not fundamental"] == [
+        1007, 799, 3811, 3395, 11627, 10439,
+    ]
 
 
 def test_generate_family_small_cap_is_empty():

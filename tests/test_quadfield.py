@@ -144,6 +144,14 @@ def test_arithmetic_rejects_bools(op, flag):
         OPERATORS[op](FieldDesc(7).element(1, 1), flag)
 
 
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+@pytest.mark.parametrize("other", [0.5, "1/2", 1 + 0j, Decimal("0.5")], ids=repr)
+def test_arithmetic_with_a_non_scalar_is_a_type_error(op, other):
+    # FieldElem's operators return NotImplemented for these, so Python raises TypeError
+    with pytest.raises(TypeError):
+        OPERATORS[op](FieldDesc(7).element(1, 1), other)
+
+
 def test_basis_kind():
     assert FieldDesc(2).basis_kind == "SQRT"
     assert FieldDesc(7).basis_kind == "SQRT"
