@@ -11,14 +11,17 @@ as a shell reports a filter killed by that signal).
 Scan output is deterministic: records are emitted in ascending d and
 all vector lists are sorted, so reruns and different worker counts
 produce identical bytes.  A scan renders each record into its CSV row
-or JSON item as the results arrive in that order, and drops it.  One
-process holds one record at a time besides its output text.  A pool
-chunk is at most 16 fields, and a finished chunk's records wait in the
-parent only while an earlier chunk is unfinished; Executor.map submits
-every chunk at once, so that wait has no fixed bound, and the measured
-one is CI's check that scan 2 3000 peaks below 28 MB.  Near d = 10^5 a
-CSV row is about 160 bytes and a record about 100 KB; JSON text is
-about as large as its records.
+or JSON item in the process that built it, and drops it there: one
+process holds one record at a time, and only rows cross the pool and
+reach the parent, which joins them in ascending d.  At d <= 1000 a CSV
+row pickles to about 60 bytes, a record to about 860 and a JSON item to
+about 3.7 KB; near d = 10^5 a row is about 160 bytes and a record about
+100 KB, and JSON text is about as large as its records.  The pool has
+at most one worker per CPU this process may run on.  A pool chunk is
+at most 16 fields, and a finished chunk's rows wait in the parent only
+while an earlier chunk is unfinished; Executor.map submits every chunk
+at once, so that wait has no fixed bound, and the measured one is CI's
+check that scan 2 3000 peaks below 28 MB as CSV and below 60 MB as JSON.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from math import isqrt
 from pathlib import Path
@@ -122,13 +126,24 @@ def _csv_row(r: ScanRecord) -> list:
     ]
 
 
+def _csv_line(cells) -> str:
+    """One line of CSV text, as csv.writer quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _join_csv(rows: Iterable[str]) -> str:
+    """The header and the row lines, each taken from the iterable as it comes."""
+    buf = io.StringIO()
+    buf.write(_csv_line(CSV_COLUMNS))
+    buf.writelines(rows)
+    return buf.getvalue()
+
+
 def render_csv(records: Iterable[ScanRecord]) -> str:
     """CSV text of the records, each rendered as it is taken from the iterable."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(_csv_row, records))
-    return buf.getvalue()
+    return _join_csv(_csv_line(_csv_row(r)) for r in records)
 
 
 def record_to_dict(r: ScanRecord) -> dict:
@@ -182,10 +197,15 @@ def _json_item(r: ScanRecord) -> str:
     return _json_text(record_to_dict(r), "  ")
 
 
+def _join_json(items: Iterable[str]) -> str:
+    """The JSON list of the rendered items."""
+    body = ",\n  ".join(items)
+    return f"[\n  {body}\n]\n" if body else "[]\n"
+
+
 def render_json(records: Iterable[ScanRecord]) -> str:
     """_json_text of the list of record dicts, each rendered as it is taken from the iterable."""
-    items = ",\n  ".join(map(_json_item, records))
-    return f"[\n  {items}\n]\n" if items else "[]\n"
+    return _join_json(map(_json_item, records))
 
 
 # -- commands --------------------------------------------------------------
@@ -253,11 +273,18 @@ def cmd_analyze(args) -> int:
     return 1 if record.agree is False else 0
 
 
-def _scan_worker(d: int) -> ScanRecord:
-    # The pool pickles the function it maps by reference.  This one looks up
-    # build_record in the worker, so a rebound build_record (the benchmark's
-    # per-field timer) is never pickled, which a rebound closure cannot be.
-    return build_record(d)
+def _scan_row(fmt: str, d: int) -> tuple[int, int, bool | None, str]:
+    """One field of a scan: (d, class count, agreement, its CSV row or JSON item).
+
+    The record is rendered where it was built, so a pool worker sends
+    back its text, not its record.  The pool pickles this function by
+    reference, and it looks up build_record, _csv_row and _json_item
+    when called, so a rebound one (the benchmark's per-field timer) is
+    never pickled, which a rebound closure cannot be.
+    """
+    r = build_record(d)
+    text = _csv_line(_csv_row(r)) if fmt == "csv" else _json_item(r)
+    return r.d, r.n_classes, r.agree, text
 
 
 def _bad_input(message: str) -> int:
@@ -285,13 +312,20 @@ def _unwritable(path: str) -> str | None:
     return None if ok else f"cannot write --out {path}: permission denied"
 
 
-def _tally(records: Iterable[ScanRecord], counts: Counter, bad: list[int]):
-    """Pass the records through, counting classes and noting each d that disagrees."""
-    for r in records:
-        counts[r.n_classes] += 1
-        if r.agree is False:
-            bad.append(r.d)
-        yield r
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _tally(rows: Iterable[tuple], counts: Counter, bad: list[int]):
+    """Pass each _scan_row result's text through, counting its classes and noting a d that disagrees."""
+    for d, n_classes, agree, text in rows:
+        counts[n_classes] += 1
+        if agree is False:
+            bad.append(d)
+        yield text
 
 
 def cmd_scan(args) -> int:
@@ -301,22 +335,24 @@ def cmd_scan(args) -> int:
         return _bad_input(problem)
     ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in args.mod4]
     # the pool forks all its workers up front, so never ask for more than can run
-    workers = min(args.jobs, len(ds), os.cpu_count() or 1)
-    render = render_csv if args.format == "csv" else render_json
+    workers = min(args.jobs, len(ds), _usable_cpus())
+    row = partial(_scan_row, args.format)
+    join = _join_csv if args.format == "csv" else _join_json
     counts: Counter = Counter()
     bad: list[int] = []
-    # each record is rendered as it arrives, in ascending d, and then dropped
+    # each record is rendered and dropped where it was built; the rows
+    # arrive here in ascending d, and only their text is kept
     if workers > 1:
         # imported here: multiprocessing costs every other command about 2.5 MB
         from concurrent.futures import ProcessPoolExecutor
 
-        # a worker holds one chunk of records, and small chunks leave no
+        # a worker holds one chunk of rows, and small chunks leave no
         # worker idle while another finishes a long last one
         chunk = max(1, min(16, len(ds) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            text = render(_tally(pool.map(_scan_worker, ds, chunksize=chunk), counts, bad))
+            text = join(_tally(pool.map(row, ds, chunksize=chunk), counts, bad))
     else:
-        text = render(_tally(map(build_record, ds), counts, bad))
+        text = join(_tally(map(row, ds), counts, bad))
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -407,7 +408,18 @@ def test_scan_is_deterministic_across_workers(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs 2 CPUs")
+@pytest.mark.skipif(cli._usable_cpus() < 2, reason="the pool needs 2 CPUs")
+def test_scan_json_is_deterministic_across_workers(tmp_path):
+    # the real pool: each worker renders its items, and the parent joins them
+    one = tmp_path / "one.json"
+    two = tmp_path / "two.json"
+    argv = ["scan", "2", "200", "--format", "json", "--out"]
+    assert main(argv + [str(one), "--jobs", "1"]) == 0
+    assert main(argv + [str(two), "--jobs", "2"]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.skipif(cli._usable_cpus() < 2, reason="the pool needs 2 CPUs")
 def test_scan_pool_takes_a_rebound_build_record(monkeypatch, tmp_path):
     # a closure cannot be pickled, so the pool must not map build_record itself
     original = cli.build_record
@@ -429,10 +441,15 @@ def test_scan_records_frozen(capsys):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor and maps in this process."""
+    """Stands in for ProcessPoolExecutor and maps in this process.
+
+    Like the real pool, it pickles the function it maps, and each result
+    on its way back; it keeps each result's pickle.
+    """
 
     def __init__(self, max_workers=None):
         self.chunksizes = []
+        self.pickles = []
 
     def __enter__(self):
         return self
@@ -442,7 +459,25 @@ class _SerialPool:
 
     def map(self, fn, items, chunksize=1):
         self.chunksizes.append(chunksize)
-        return map(fn, items)
+        return map(self._crossed, map(pickle.loads(pickle.dumps(fn)), items))
+
+    def _crossed(self, result):
+        self.pickles.append(pickle.dumps(result))
+        return pickle.loads(self.pickles[-1])
+
+
+def _counted_pools(monkeypatch):
+    """Replace ProcessPoolExecutor by _SerialPool; return the pools made, and their sizes."""
+    sizes = []
+    pools = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        pools.append(_SerialPool())
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    return pools, sizes
 
 
 @pytest.mark.parametrize(
@@ -454,32 +489,61 @@ class _SerialPool:
         (20, 100000, None, None),  # unknown CPU count: one process, no pool
         (20, 2, 1, None),
         (300, 2, 2, 2),  # 183 fields: a quarter per worker would be 22
+        # (affinity set, host CPUs); None: this OS has no affinity call
+        (20, 2, (1, 2), None),  # pinned to one of two CPUs, as by taskset -c 0
+        (20, 8, (3, 64), 3),
+        (20, 8, (None, 4), 4),
     ],
 )
 def test_scan_pool_size_is_bounded(monkeypatch, tmp_path, hi, jobs, cpus, size):
-    sizes = []
-    pools = []
-
-    def pool(max_workers):
-        sizes.append(max_workers)
-        pools.append(_SerialPool())
-        return pools[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    pools, sizes = _counted_pools(monkeypatch)
+    affinity, count = cpus if isinstance(cpus, tuple) else (cpus, cpus)
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
     out = tmp_path / "a.csv"
     assert main(["scan", "2", str(hi), "--jobs", str(jobs), "--out", str(out)]) == 0
     assert sizes == ([] if size is None else [size])
-    # a worker holds one chunk of records at a time
+    # a worker holds one chunk of rows at a time
     assert all(1 <= chunk <= 16 for p in pools for chunk in p.chunksizes)
     assert out.read_text() == render_csv([build_record(d) for d in squarefree_sieve(2, hi)])
+
+
+class _NoClasses(pickle.Unpickler):
+    """Loads a pickle that names no class: plain ints, bools, None, strings, tuples."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"{module}.{name} crossed the pool")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_pool_returns_rows_not_records(monkeypatch, tmp_path, fmt):
+    # a worker renders its record and sends back (d, nK, agree, text) alone
+    pools, _ = _counted_pools(monkeypatch)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "scan.out"
+    assert main(["scan", "2", "60", "--jobs", "2", "--format", fmt, "--out", str(out)]) == 0
+    [pool] = pools
+    records = [build_record(d) for d in squarefree_sieve(2, 60)]
+    results = [_NoClasses(io.BytesIO(data)).load() for data in pool.pickles]
+    assert len(results) == len(records)
+    for result, r in zip(results, records):
+        assert type(result) is tuple
+        d, n_classes, agree, text = result
+        assert (d, n_classes, agree) == (r.d, r.n_classes, r.agree)
+        assert text == (cli._csv_line(cli._csv_row(r)) if fmt == "csv" else cli._json_item(r))
+    # the check does see a record
+    with pytest.raises(pickle.UnpicklingError, match="ScanRecord crossed"):
+        _NoClasses(io.BytesIO(pickle.dumps(records[0]))).load()
 
 
 def _route_scan(monkeypatch, path):
     """scan arguments for one path: one process, or the pool, run in this process."""
     if path == "pool":
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         return ["--jobs", "2"]
     return ["--jobs", "1"]
 
