@@ -15,10 +15,10 @@ P_j + P_{j+1} = b_j*Q_j.  It is seeded with Q_0 = (d - P_1^2)/Q_1.
 
 The fundamental unit of Z[xi] is q_{L-1}*xi + q_L - a0*q_{L-1}, where
 q_{-1} = 0, q_0 = 1, q_j = b_j*q_{j-1} + q_{j-2} are the convergent
-denominators of xi.  Only its omega-coefficient c = q_{L-1} needs the
-continued fraction.  b_1, ..., b_{L-1} is a palindrome, and so is the
-state sequence, so `fundamental_unit` stops at its centre: at step j,
-with the next state taken,
+denominators of xi; its omega-coefficient is c = q_{L-1}.
+b_1, ..., b_{L-1} is a palindrome, and so is the state sequence, so
+`fundamental_unit` stops at its centre: at step j, with the next state
+taken,
 
 - P_{j+1} = P_j means L = 2j; then c = q_{j-1}*(q_j + q_{j-2}), N = +1;
 - Q_{j+1} = Q_j means L = 2j + 1; then c = q_j^2 + q_{j-1}^2, N = -1;
@@ -27,8 +27,34 @@ with the next state taken,
 Both values of c are the continuant identity
 K(b_1..b_n) = K(b_1..b_j)*K(b_{j+1}..b_n) + K(b_1..b_{j-1})*K(b_{j+2}..b_n)
 split at the centre, with the reversed halves equal.  The unit's norm
-is N = (-1)^L, and its rational part is one exact square root of the
-norm equation: eps = (r + c*sqrt(d))/g with r^2 = d*c^2 + g^2*N.
+is N = (-1)^L.
+
+The rational part comes from the same centre (Perron, Die Lehre von
+den Kettenbruechen, 1913).  With p_k/q_k the convergents of xi and
+Q_0 = g, set A_k = P_{k+1}*q_k + Q_{k+1}*q_{k-1}.  Then
+
+    A_k = g*p_k - t*q_k,  A_k^2 - d*q_k^2 = (-1)^(k+1)*g*Q_{k+1}:
+
+write q_k*xi - p_k = (-1)^k/(q_k*xi_{k+1} + q_{k-1}) as
+(q_k*sqrt(d) - g*p_k + t*q_k)*(A_k + q_k*sqrt(d)) = (-1)^k*g*Q_{k+1};
+its sqrt(d) part vanishes and its rational part is the norm.  So the
+product xi_1*...*xi_{k+1} = (-1)^k/(q_k*xi - p_k) of the complete
+quotients is (A_k + q_k*sqrt(d))/Q_{k+1}, and over the whole period it
+is the unit: g*eps = A_{L-1} + q_{L-1}*sqrt(d).  The palindrome gives
+xi_{L+1-i} = (P_i + sqrt(d))/Q_{i-1}, so the last j quotients
+multiply to the first j times Q_j/g, and
+
+- L = 2j:     g*eps = (A_{j-1} + q_{j-1}*sqrt(d))^2/Q_j;
+- L = 2j + 1: g*eps = (A_{j-1} + q_{j-1}*sqrt(d))*(A_j + q_j*sqrt(d))/Q_j,
+  as Q_{j+1} = Q_j;
+- L = 1:      g*eps = P_1 + sqrt(d), as Q_1 = g.
+
+The loop takes r = (A_{j-1}^2 + d*q_{j-1}^2)/Q_j, or
+(A_{j-1}*A_j + d*q_{j-1}*q_j)/Q_j, or P_1, from the state and the
+convergents it holds at the centre, so eps = (r + c*sqrt(d))/g comes
+whole from half the period, and its only square root is isqrt(d).  The
+norm equation r^2 = d*c^2 + g^2*N is the check: for the loop's c it
+has one positive solution r.
 
 The q_j grow to the size of the unit, thousands of digits at
 d = 10^8, while the b_j are small.  So the loop does not add a
@@ -64,13 +90,16 @@ class FundamentalUnit:
     norm_sign: int
 
 
-def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
-    """(q_{L-1}, (-1)^L) for the reduced surd (P + sqrt(d))/Q, from half its period.
+def _centre_unit(d: int, P: int, Q: int) -> tuple[int, int, int]:
+    """(r, c, (-1)^L) with Q_0*eps = r + c*sqrt(d), from half the period
+    of the reduced surd (P + sqrt(d))/Q, where Q_0 = (d - P^2)/Q.
 
     The package's one period loop.  (q1, q2) is (q_{j-1}, q_{j-2}) at the
     last fold, and the block ((x0, y0), (x1, y1)) the quotient matrices
     since then, so that q_{j-1} = x0*q1 + y0*q2 and q_{j-2} = x1*q1 + y1*q2.
-    The palindrome puts the centre before the first state comes back, so
+    At the centre, A = A_{j-1} and the centre products of the module
+    docstring give r; c is the continuant split at the centre.  The
+    palindrome puts the centre before the first state comes back, so
     the loop does not test for the period closing; _STEP_CAP bounds it.
     """
     s = isqrt(d)
@@ -83,12 +112,14 @@ def _centre_coefficient(d: int, P: int, Q: int) -> tuple[int, int]:
         Q_next = Q_prev + a * (P - P_next)
         if P_next == P or Q_next == Q:
             q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
-            if P_next != P:
+            A = P * q1 + Q * q2
+            if P_next != P:  # L = 2j + 1, and Q_{j+1} = Q_j
                 q = a * q1 + q2
-                return q * q + q1 * q1, -1
+                return (A * (P_next * q + Q * q1) + d * q1 * q) // Q, q * q + q1 * q1, -1
             if Q_next == Q:  # the first state again: L = 1
-                return 1, -1
-            return q1 * (a * q1 + 2 * q2), 1  # q_j + q_{j-2} = a*q_{j-1} + 2*q_{j-2}
+                return P, 1, -1
+            # L = 2j; q_j + q_{j-2} = a*q_{j-1} + 2*q_{j-2}
+            return (A * A + d * q1 * q1) // Q, q1 * (a * q1 + 2 * q2), 1
         x0, x1 = a * x0 + x1, x0
         y0, y1 = a * y0 + y1, y0
         if x0 > _FOLD:
@@ -102,17 +133,17 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     """Smallest unit > 1 of the ring of integers of Q(sqrt(d)).
 
     Computed afresh on every call from half a period of the expansion
-    of omega, in memory that grows only with the size of the unit.
+    of omega, in memory that grows only with the size of the unit: the
+    loop gives eps = (r + c*sqrt(d))/g whole, and the norm equation
+    r^2 = d*c^2 + g^2*N only checks it.
     """
     d = field.d
     # omega = (t + sqrt(d))/g, so xi_1 = (P + sqrt(d))/((d - P^2)/g)
     g, t, _ = _omega(d)
     a0 = (t + isqrt(d)) // g
     P = g * a0 - t
-    c, n = _centre_coefficient(d, P, (d - P * P) // g)
-    r2 = d * c * c + g * g * n
-    r = isqrt(r2)
-    if r * r != r2:
+    r, c, n = _centre_unit(d, P, (d - P * P) // g)
+    if r < 1 or r * r != d * c * c + g * g * n:
         # c may have thousands of digits, too many for str(); leave it out
         raise InvariantError(f"centre of the period of d={d} solves no norm equation")
     return FundamentalUnit(FieldElem(field, Fraction(r, g), Fraction(c, g)), n)

@@ -266,9 +266,9 @@ def test_walk_cap_overrun_is_exit_2(monkeypatch, capsys):
 
 
 def test_failed_norm_square_is_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(units, "_centre_coefficient", lambda d, P, Q: (2, 1))
+    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (3, 1, 1))
     assert main(["analyze", "7"]) == 3
-    assert "internal error:" in capsys.readouterr().err
+    assert "internal error: InvariantError:" in capsys.readouterr().err
 
 
 def _package_env():

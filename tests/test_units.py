@@ -269,10 +269,61 @@ def test_block_fold_on_quotients_past_the_threshold(d):
     quotients = [a for a, _, _ in period_states(d, s, d - s * s)]
     assert quotients[-1] == 2 * s
     assert all(a > units._FOLD for a in quotients)
-    c, n = units._centre_coefficient(d, s, d - s * s)
+    r, c, n = units._centre_unit(d, s, d - s * s)
     assert (c, n) == (_continuant(quotients[:-1]), (-1) ** len(quotients))
     r2 = d * c * c + n
-    assert isqrt(r2) ** 2 == r2
+    assert r == isqrt(r2) and r * r == r2
+
+
+def _centre_product(d, A, q, Q, length):
+    """(r, c) with r + c*sqrt(d) the centre product of the module docstring.
+
+    A[k + 1], q[k + 1] and Q[k] hold A_k, q_k and Q_k; each coordinate
+    must divide exactly.  L = 1 is the odd case at j = 0, where
+    A_{-1} = Q_0 = g and q_{-1} = 0 leave A_0 + q_0*sqrt(d) = P_1 + sqrt(d).
+    """
+    j = length // 2
+    if length % 2:  # (A_{j-1} + q_{j-1}*sqrt(d))*(A_j + q_j*sqrt(d))/Q_j
+        r, c = A[j] * A[j + 1] + d * q[j] * q[j + 1], A[j] * q[j + 1] + A[j + 1] * q[j]
+    else:  # (A_{j-1} + q_{j-1}*sqrt(d))^2/Q_j
+        r, c = A[j] * A[j] + d * q[j] * q[j], 2 * A[j] * q[j]
+    assert r % Q[j] == 0 and c % Q[j] == 0
+    return r // Q[j], c // Q[j]
+
+
+def test_half_period_products_give_the_unit():
+    # the lemma behind the unit loop, on the sqrt(d) surd of every
+    # squarefree d < 3000 and on the (1 + sqrt(d))/2 surd too where
+    # d = 1 (mod 4): with xi = (t + sqrt(d))/g = [a0; b_1, ..., b_L]
+    # and convergents p_k/q_k, A_k = P_{k+1}*q_k + Q_{k+1}*q_{k-1} is
+    # g*p_k - t*q_k with norm (-1)^(k+1)*g*Q_{k+1} at every k, and the
+    # centre product is g times the unit q_{L-1}*xi + q_L - a0*q_{L-1}
+    checked = 0
+    for d in range(2, 3000):
+        if not is_squarefree(d):
+            continue
+        for g, t in [(1, 0), (2, 1)] if d % 4 == 1 else [(1, 0)]:
+            a0 = (t + isqrt(d)) // g
+            P1 = g * a0 - t
+            states = [(a0, P1, (d - P1 * P1) // g)]
+            states += period_states(d, P1, states[0][2])
+            length = len(states) - 1
+            Q = [g] + [Qk for _, _, Qk in states]  # Q_0 .. Q_{L+1}
+            p, q, A = [1, a0], [0, 1], [g, P1]  # index k + 1 holds p_k, q_k, A_k
+            for k, (b, P_next, Q_next) in enumerate(states[1:], start=1):
+                p.append(b * p[k] + p[k - 1])
+                q.append(b * q[k] + q[k - 1])
+                A.append(P_next * q[k + 1] + Q_next * q[k])
+            for k in range(length + 1):
+                assert A[k + 1] == g * p[k + 1] - t * q[k + 1]
+                assert A[k + 1] ** 2 - d * q[k + 1] ** 2 == (-1) ** (k + 1) * g * Q[k + 1]
+            r, c = _centre_product(d, A, q, Q, length)
+            assert (r, c) == (g * (q[length + 1] - a0 * q[length]) + t * q[length], q[length])
+            if g == 2 or d % 4 != 1:  # omega's surd: the unit of the ring of integers
+                field = FieldDesc(d)
+                assert fundamental_unit(field).value == field.element(Fraction(r, g), Fraction(c, g))
+            checked += 1
+    assert checked == 2427  # 1823 sqrt(d) surds and 604 half surds
 
 
 # each case of the centre rule, with the period length L of the omega
@@ -306,9 +357,17 @@ def test_step_cap_is_a_size_limit(monkeypatch):
 
 
 def test_failed_norm_square_is_an_invariant_error(monkeypatch):
-    monkeypatch.setattr(units, "_centre_coefficient", lambda d, P, Q: (2, 1))
+    # 3^2 != 7*1^2 + 2^2*1: a centre whose r fails the norm equation
+    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (3, 1, 1))
     with pytest.raises(InvariantError):
         fundamental_unit(FieldDesc(7))
+
+
+def test_negative_rational_part_is_an_invariant_error(monkeypatch):
+    # -1 + sqrt(2) solves the norm equation of d = 2 but is no unit > 1
+    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (-1, 1, -1))
+    with pytest.raises(InvariantError):
+        fundamental_unit(FieldDesc(2))
 
 
 def test_unit_memory_stays_flat():
