@@ -29,9 +29,10 @@ starts from scratch costs rounds in proportion to their bit length.  A
 step avoids that twice, so its cost does not grow along the period: its
 opening ceiling comes from a closed-form bound on the gap to 1/sqrt(d),
 and its Gauss reductions start warm: each trial passes
-traceform._reduce_ints a `start` basis, for the first trial one through
-the active line's vector and for each later one the reduced basis of the
-trial before it.
+traceform._reduce_ints a `start` basis, for the first trial the reduced
+basis of the class the step leaves, handed on by the step that found
+that class, and for each later one the reduced basis of the trial
+before it.
 """
 
 from __future__ import annotations
@@ -81,20 +82,14 @@ def _below_boundary(d: int, denom: int) -> Fraction:
     return Fraction(isqrt((denom * denom - 1) // d), denom)
 
 
-def _basis_through(u: int, v: int) -> tuple[int, int, int, int]:
-    """A unimodular basis whose first column is the primitive vector (u, v)."""
-    if gcd(u, v) != 1:
-        raise QuadFieldError(f"({u}, {v}) is not a primitive vector")
-    if v == 0:
-        return u, 0, 0, u
-    b = pow(u, -1, abs(v))
-    return u, (u * b - 1) // v, v, b
-
-
 def neighbor_step(
-    field: FieldDesc, pair: tuple[int, int], vec: tuple[int, int]
-) -> PerfectForm:
-    """Next envelope vertex strictly right of the ray pair = (p, q), p > 0.
+    field: FieldDesc,
+    pair: tuple[int, int],
+    vec: tuple[int, int],
+    start: tuple[int, int, int, int] = (1, 0, 0, 1),
+) -> tuple[PerfectForm, tuple[int, int, int, int]]:
+    """Next envelope vertex strictly right of the ray pair = (p, q), p > 0,
+    and the reduced basis of its form.
 
     vec is a primitive vector (u, v) in basis coordinates whose support
     line, the active line, carries the envelope immediately right of
@@ -119,18 +114,23 @@ def neighbor_step(
     midpoint has a denominator dividing 2*D, not one near p*D, and each
     push, to a ceiling with 4 times the denominator, raises that bound
     at most 12-fold: a trial's label stays near the size of the vertex
-    it seeks.  The first trial's reduction starts from a basis through
-    vec, which is minimal at s0, and each later one from the reduced
-    basis of the trial before it, so a step costs the same few Gauss
-    steps wherever it lies in the period.
+    it seeks.  The first trial's reduction starts from `start`, any
+    unimodular basis: the walk passes the basis returned by the step
+    that found pair, which reduces the form of pair itself, and the
+    identity for the step from (1, 0), whose form it reduces too.  Each
+    later trial starts from the reduced basis of the trial before it,
+    so a step costs the same few Gauss steps wherever it lies in the
+    period.
     """
     d = field.d
     p, q = pair
     norm = p * p - d * q * q
     if p <= 0 or norm <= 0:
         raise QuadFieldError(f"{pair} is not the ray of a totally positive form")
+    if gcd(*vec) != 1:
+        raise QuadFieldError(f"{vec} is not a primitive vector")
     s0 = Fraction(q, p)
-    basis = _basis_through(*vec)
+    basis = start
     forms = _support_forms(d)
     a_ic, a_sc = _line_of_basis_vec(forms, *vec)
     base = 4 * p
@@ -151,7 +151,7 @@ def neighbor_step(
         mu, vecs = _min_vectors_ints(triple, basis)
         if vec in vecs or (-vec[0], -vec[1]) in vecs:
             if len(vecs) >= 2:
-                return PerfectForm((p_t, q_t), mu, _both_signs(vecs))
+                return PerfectForm((p_t, q_t), mu, _both_signs(vecs)), basis
             denom *= 4
             upper = _below_boundary(d, denom)
             s_t = s_t + (upper - s_t) * Fraction(2, 3)
@@ -258,11 +258,14 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     first ray times the ray of eps^2.  Each step hands neighbor_step the
     vertex's ray and the minimal vector whose line has the smallest
     slope coefficient; that line carries the concave envelope just right
-    of the vertex.  Before the step, that vector is looked up among the
-    minimal vectors of T (_closing_vectors).  If it is one, its line is
-    minimal at the last class and at T; the concave envelope lies below
-    the line and meets it at both ends, so it follows the line between
-    them, T is the next vertex, and the walk stops with no step.  A step
+    of the vertex.  It also hands on, as the start of the step's first
+    reduction, the reduced basis of the vertex's form, which the step
+    that found the vertex returned.  Before the step, the vector is
+    looked up among the minimal vectors of T (_closing_vectors).  If it
+    is one, its line is minimal at the last class and at T; the concave
+    envelope lies below the line and meets it at both ends, so it
+    follows the line between them, T is the next vertex, and the walk
+    stops with no step.  A step
     that lands on T all the same means the test missed, a bug.  Rays
     multiply as integer pairs and compare by cross-multiplication, so
     the walk does no field arithmetic per step.
@@ -270,7 +273,7 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    first = neighbor_step(field, (1, 0), (1, 0))
+    first, basis = neighbor_step(field, (1, 0), (1, 0))
     p, q = first.pair
     target = _ray_times(d, first.pair, primitive_normalize(eps2))
     if target[1] * p <= q * target[0]:
@@ -283,7 +286,7 @@ def walk_classes(field: FieldDesc) -> WalkResult:
         vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
         if vec in closing:
             return WalkResult(field, tuple(classes), unit, eps2)
-        nxt = neighbor_step(field, last.pair, vec)
+        nxt, basis = neighbor_step(field, last.pair, vec, basis)
         if nxt.pair == target:
             raise InvariantError("the period closed past the closing test")
         classes.append(nxt)

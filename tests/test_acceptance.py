@@ -13,6 +13,7 @@ from math import isqrt
 from oracles import (
     SearchExhaustedError,
     hull_records,
+    period_states,
     power,
     real_sign,
     trace_form,
@@ -31,7 +32,7 @@ from unaryperfect.family import (
     predicted_a3_minimum,
     predicted_minimal_set,
 )
-from unaryperfect.quadfield import FieldDesc, is_squarefree, primitive_normalize
+from unaryperfect.quadfield import FieldDesc, _omega, is_squarefree, primitive_normalize
 from unaryperfect.traceform import _reduce_ints, _scaled_form, brute_force_min, min_data
 from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import (
@@ -330,7 +331,7 @@ def test_criterion_7_invariance_and_symmetry():
         # leave the last vertex along the minimal vector whose line has the least slope
         forms = _support_forms(d)
         rightward = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
-        again = neighbor_step(walk.field, last.pair, rightward)
+        again, _ = neighbor_step(walk.field, last.pair, rightward)
         assert again.pair == primitive_normalize(_form(walk, first) * walk.eps2), d
         for cls in walk.classes:
             flipped = _form(walk, cls).conj()
@@ -360,3 +361,51 @@ def test_criterion_8_hull_edges_are_the_walked_classes():
         classes += len(records)
     assert len(ds) == 1823 and classes == 24805
     _passed(8, f"{len(ds)} fields, {classes} hull edges, one per class, whole records", t0)
+
+
+def test_criterion_8_conjugation_reflects_the_class_list():
+    """Over every squarefree d in [2, 3000]: one c per field gives
+    class_index(conj(x_j)) = (c - j) mod nK for every class form x_j;
+    c is odd when nK is even, so no class is its own conjugate, and
+    exactly one class is when nK is odd."""
+    t0 = time.monotonic()
+    ds = squarefree_sieve(2, 3000)
+    odd = 0
+    for d in ds:
+        walk = _walk(d)
+        n = walk.class_count
+        flipped = [walk.class_index(_form(walk, cls).conj()) for cls in walk.classes]
+        c = flipped[0]
+        assert flipped == [(c - j) % n for j in range(n)], d
+        fixed = sum(j == i for j, i in enumerate(flipped))
+        if n % 2:
+            assert fixed == 1, d
+            odd += 1
+        else:
+            assert c % 2 == 1 and fixed == 0, d
+    assert len(ds) == 1823
+    _passed(8, f"{len(ds)} fields reflected by conjugation, {odd} with one self-conjugate class", t0)
+
+
+def test_criterion_8_parity_of_the_count_from_the_centre_state():
+    """Over every squarefree d in [2, 3000], with L the period of omega:
+    nK is odd when L is odd; when L is even, nK is even exactly when
+    Q^2 < P^2 + d at the centre state (P, Q) = (P_j, Q_j) of the period,
+    where P_{j+1} = P_j and the unit loop stops."""
+    t0 = time.monotonic()
+    ds = squarefree_sieve(2, 3000)
+    even_periods = 0
+    for d in ds:
+        g, t, _ = _omega(d)
+        P = g * ((t + isqrt(d)) // g) - t
+        states = [(P, (d - P * P) // g)]
+        states += [(P, Q) for _, P, Q in period_states(d, *states[0])]
+        n = _walk(d).class_count
+        if len(states) % 2 == 0:  # L = len(states) - 1 is odd
+            assert n % 2 == 1, d
+            continue
+        P, Q = next(s for s, nxt in zip(states, states[1:]) if nxt[0] == s[0])
+        assert (n % 2 == 0) == (Q * Q < P * P + d), d
+        even_periods += 1
+    assert len(ds) == 1823
+    _passed(8, f"{len(ds)} fields, {even_periods} of even period, parity from the centre", t0)

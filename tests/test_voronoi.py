@@ -4,7 +4,7 @@ structural invariants of whole walks."""
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -27,7 +27,6 @@ from unaryperfect.voronoi import (
     classes_equal,
     neighbor_step,
     walk_classes,
-    _basis_through,
     _below_boundary,
     _line_of_basis_vec,
     _support_forms,
@@ -97,17 +96,6 @@ def test_below_boundary_is_tight(d, denom):
     assert (num + 1) ** 2 * d > denom * denom
 
 
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_basis_through_completes_the_vector(u, v):
-    if gcd(u, v) != 1:
-        with pytest.raises(QuadFieldError):
-            _basis_through(u, v)
-        return
-    m00, m01, m10, m11 = _basis_through(u, v)
-    assert m00 * m11 - m01 * m10 == 1
-    assert (m00, m10) == (u, v)
-
-
 INITIAL_TABLE = {
     2: ((2, 1), Fraction(1, 2), 4),
     3: ((2, 1), Fraction(1, 2), 4),
@@ -141,10 +129,10 @@ def test_initial_vertex_vectors_frozen():
 def test_neighbor_step_frozen():
     F7 = FieldDesc(7)
     # leaving 14 + 5*sqrt(7) along 3 - sqrt(7), whose line is (32, -84)
-    nxt = neighbor_step(F7, (14, 5), (3, -1))
+    nxt, _ = neighbor_step(F7, (14, 5), (3, -1))
     assert nxt.pair == (98, 37)
     F3 = FieldDesc(3)
-    assert neighbor_step(F3, (1, 0), (1, 0)).pair == (2, 1)
+    assert neighbor_step(F3, (1, 0), (1, 0))[0].pair == (2, 1)
 
 
 def test_neighbor_step_rejects_inactive_line():
@@ -201,8 +189,9 @@ def test_walk_work_is_flat_along_the_period(monkeypatch):
     result = walk_classes(field)
     assert result.class_count == 178
     assert calls["_below_boundary"] <= 2 * calls["_reduce_ints"]
-    # 0.7 Gauss steps per reduction; 8.9 if s0 were reduced from scratch
-    assert calls["_round_nearest_even"] <= 2 * calls["_reduce_ints"]
+    # 0.65 Gauss steps per reduction (977 over 1497); 8.9 if s0 were
+    # reduced from scratch
+    assert 3 * calls["_round_nearest_even"] <= 2 * calls["_reduce_ints"]
     monkeypatch.undo()
     # warm-started reductions against cold ones from the standard basis
     for cls in result.classes:
@@ -289,7 +278,7 @@ def test_walk_period_closes(d):
     field = FieldDesc(d)
     walk = walk_classes(field)
     last = walk.classes[-1]
-    nxt = neighbor_step(field, last.pair, rightward_vec(field, last))
+    nxt, _ = neighbor_step(field, last.pair, rightward_vec(field, last))
     assert nxt.pair == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
 
 
@@ -298,9 +287,9 @@ def _count_steps(monkeypatch):
     left = []
     step = voronoi.neighbor_step
 
-    def counted(field, pair, vec):
+    def counted(field, pair, *rest):
         left.append(pair)
-        return step(field, pair, vec)
+        return step(field, pair, *rest)
 
     monkeypatch.setattr(voronoi, "neighbor_step", counted)
     return left
@@ -313,6 +302,27 @@ def test_walk_takes_one_step_per_class(monkeypatch, d):
     walk = walk_classes(FieldDesc(d))
     assert len(left) == walk.class_count
     assert left == [(1, 0)] + [c.pair for c in walk.classes[:-1]]
+
+
+@pytest.mark.parametrize("d", [7, 223, 1007, 1394942])
+def test_each_step_starts_from_the_basis_of_the_class_it_leaves(monkeypatch, d):
+    # a step's first reduction starts from the reduced basis of the form of
+    # the ray it leaves, the identity for (1, 0): reducing that form from
+    # it returns it unchanged, as any Gauss step changes the basis
+    left = _count_steps(monkeypatch)
+    starts = {}
+    reduce = voronoi._reduce_ints
+
+    def logged(A, B, C, start):
+        starts.setdefault(len(left), start)
+        return reduce(A, B, C, start)
+
+    monkeypatch.setattr(voronoi, "_reduce_ints", logged)
+    walk = walk_classes(FieldDesc(d))
+    assert len(left) == len(starts) == walk.class_count
+    for k, (p, q) in enumerate(left, 1):
+        form = traceform._trace_form_ints(d, p, q)
+        assert reduce(*form, starts[k])[1] == starts[k], (p, q)
 
 
 def test_missed_closing_test_is_an_invariant_error(monkeypatch):
