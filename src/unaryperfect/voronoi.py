@@ -30,9 +30,28 @@ step avoids that twice, so its cost does not grow along the period: its
 opening ceiling comes from a closed-form bound on the gap to 1/sqrt(d),
 and its Gauss reductions start warm: each trial passes
 traceform._reduce_ints a `start` basis, for the first trial the reduced
-basis of the class the step leaves, handed on by the step that found
-that class, and for each later one the reduced basis of the trial
+basis of the class the step leaves, handed on by the search that
+found that class, and for each later one the reduced basis of the trial
 before it.
+
+The first vertex is the first edge of a hull, found without a probe.
+Write p_k/q_k for the convergents of omega = (t + sqrt(d))/g, so that
+the relative minima right of 1 are y_k = p_{k-1} - q_{k-1}*omega,
+k >= 1, with |y_k| < 1 < |y_k'| and |y_k'| growing in k.  With
+x = g*p - t*q, (g*y_k)^2 = A_k + (D_k/d)*sqrt(d) for the point
+(A_k, D_k) = (x^2 + d*q^2, -2*d*x*q), and the form a + b*sqrt(d) takes
+2*(a*A + b*D)/g^2 at y: the minimal vectors at a ray are those whose
+points minimise a*A + b*D, an edge of the lower hull.  The point of 1
+is P_0 = (g^2, 0), and the envelope leaves (1, 0) along its line up to
+the vertex where the line of the steepest point beyond P_0 crosses it:
+the least slope D/(A - g^2), ties going to the farther point.  The
+vertex's pair is the edge's normal (-D*, A* - g^2), made primitive.
+The scan stops at the first k with A_k > 2*g^2 and
+d*A_k^2*(A* - g^2)^2 <= D*^2*(A_k - 2*g^2)^2, that is
+sqrt(d)*A_k/(A_k - 2*g^2) <= |D*|/(A* - g^2).  No j >= k beats the
+best point then: |D_j| = sqrt(d)*(A_j - (g*y_j)^2) < sqrt(d)*A_j, and
+2*A_j > (g*y_j')^2 >= (g*y_k')^2 >= A_k, so
+|D_j|/(A_j - g^2) < sqrt(d)*A_j/(A_j - g^2) <= sqrt(d)*A_k/(A_k - 2*g^2).
 """
 
 from __future__ import annotations
@@ -48,6 +67,7 @@ from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
+_EDGE_CAP = 10**3
 
 
 def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
@@ -115,9 +135,8 @@ def neighbor_step(
     push, to a ceiling with 4 times the denominator, raises that bound
     at most 12-fold: a trial's label stays near the size of the vertex
     it seeks.  The first trial's reduction starts from `start`, any
-    unimodular basis: the walk passes the basis returned by the step
-    that found pair, which reduces the form of pair itself, and the
-    identity for the step from (1, 0), whose form it reduces too.  Each
+    unimodular basis: the walk passes the reduced basis of the form of
+    pair itself, which the search that found pair returned.  Each
     later trial starts from the reduced basis of the trial before it,
     so a step costs the same few Gauss steps wherever it lies in the
     period.
@@ -170,6 +189,50 @@ def neighbor_step(
             )
         s_t = best
     raise InvariantError(f"no vertex within {_TRIAL_CAP} trials right of {pair}")
+
+
+def _first_vertex(field: FieldDesc) -> tuple[PerfectForm, tuple[int, int, int, int]]:
+    """The first envelope vertex right of (1, 0), and the reduced basis of its form.
+
+    Scans the convergents of omega for the steepest point beyond P_0 and
+    stops by the bound of the module docstring, which has stopped it at
+    the second or third convergent on every field tried, up to d = 10^30;
+    the scan still gives up after _EDGE_CAP of them, since over a
+    periodic expansion a wrong bound would never stop it.
+    One reduction of the pair's form from the identity gives the minimum
+    and the minimal vectors, which must hold 1 and the steepest point's
+    y, or the pair is not the vertex.
+    """
+    d = field.d
+    g, t, _ = _omega(d)
+    gg, r = g * g, isqrt(d)
+    P, Q = t, g  # omega's complete quotient (P + sqrt(d))/Q
+    (p0, p1), (q0, q1) = (0, 1), (1, 0)
+    best = None
+    for _ in range(_EDGE_CAP):
+        a = (P + r) // Q
+        P = a * Q - P
+        Q = (d - P * P) // Q
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        x = g * p1 - t * q1
+        A, D = x * x + d * q1 * q1, -2 * d * x * q1
+        # slopes D/(A - g^2) cross-multiplied, ties to the farther point
+        if best is None or D * (best[0] - gg) <= best[1] * (A - gg):
+            best = A, D, (p1, -q1)
+        bA, bD, y = best
+        if A > 2 * gg and d * A * A * (bA - gg) ** 2 <= bD * bD * (A - 2 * gg) ** 2:
+            break
+    else:
+        raise InvariantError(f"no first hull edge within {_EDGE_CAP} convergents")
+    h = gcd(bD, bA - gg)
+    pair = -bD // h, (bA - gg) // h
+    triple, basis = _reduce_ints(*_trace_form_ints(d, *pair))
+    mu, vecs = _min_vectors_ints(triple, basis)
+    vecs = _both_signs(vecs)
+    if (1, 0) not in vecs or y not in vecs:
+        raise InvariantError(f"{pair} is not the vertex of 1 and {y}")
+    return PerfectForm(pair, mu, vecs), basis
 
 
 def _ray_times(d: int, ray: tuple[int, int], by: tuple[int, int]) -> tuple[int, int]:
@@ -252,28 +315,27 @@ def _closing_vectors(
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
-    Starts at the first vertex right of the rational ray (1, 0), where
-    the minimum 2 is attained by +-1 alone, so the vector 1 carries the
-    envelope up to that vertex.  The period closes at the target T, the
-    first ray times the ray of eps^2.  Each step hands neighbor_step the
-    vertex's ray and the minimal vector whose line has the smallest
-    slope coefficient; that line carries the concave envelope just right
-    of the vertex.  It also hands on, as the start of the step's first
-    reduction, the reduced basis of the vertex's form, which the step
-    that found the vertex returned.  Before the step, the vector is
-    looked up among the minimal vectors of T (_closing_vectors).  If it
-    is one, its line is minimal at the last class and at T; the concave
-    envelope lies below the line and meets it at both ends, so it
-    follows the line between them, T is the next vertex, and the walk
-    stops with no step.  A step
-    that lands on T all the same means the test missed, a bug.  Rays
-    multiply as integer pairs and compare by cross-multiplication, so
-    the walk does no field arithmetic per step.
+    Starts at the first vertex right of the rational ray (1, 0), which
+    _first_vertex reads off the first hull edge with no step.  The
+    period closes at the target T, the first ray times the ray of eps^2.
+    Each step hands neighbor_step the vertex's ray and the minimal vector
+    whose line has the smallest slope coefficient; that line carries the
+    concave envelope just right of the vertex.  It also hands on, as the
+    start of the step's first reduction, the reduced basis of the
+    vertex's form, which the search that found the vertex returned.
+    Before the step, the vector is looked up among the minimal vectors
+    of T (_closing_vectors).  If it is one, its line is minimal at the
+    last class and at T; the concave envelope lies below the line and
+    meets it at both ends, so it follows the line between them, T is
+    the next vertex, and the walk stops with no step.  A step that lands
+    on T all the same means the test missed, a bug.  Rays multiply as
+    integer pairs and compare by cross-multiplication, so the walk does
+    no field arithmetic per step.
     """
     d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    first, basis = neighbor_step(field, (1, 0), (1, 0))
+    first, basis = _first_vertex(field)
     p, q = first.pair
     target = _ray_times(d, first.pair, primitive_normalize(eps2))
     if target[1] * p <= q * target[0]:

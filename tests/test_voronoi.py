@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import oracles
 from unaryperfect import traceform, voronoi
+from unaryperfect.cli import squarefree_sieve
 from unaryperfect.family import construct_a1_a2, construct_a3, generate_family, nr_decompose
 from unaryperfect.quadfield import (
     FieldDesc,
     FieldElem,
     InvariantError,
     QuadFieldError,
+    _omega,
     is_squarefree,
     primitive_normalize,
 )
@@ -126,6 +128,77 @@ def test_initial_vertex_vectors_frozen():
     )
 
 
+def _first_two_minima(d):
+    """y_1 and y_2, the relative minima of omega's first two convergents."""
+    g, t, _ = _omega(d)
+    a0 = (t + isqrt(d)) // g
+    P = a0 * g - t
+    a1 = (P + isqrt(d)) // ((d - P * P) // g)
+    return (a0, -1), (a0 * a1 + 1, -a1)
+
+
+def test_first_vertex_matches_the_probe_step_and_the_hull():
+    # the first class from the first hull edge, whole records, against the
+    # probe step from (1, 0) and the hull oracle's first edge.  The edge
+    # ends at y_1 or y_2: at y_2 in 889 of the 1823 fields, and in 25 of
+    # those (d = 3, 7, ...) it passes through y_1 too
+    ds = squarefree_sieve(2, 3000)
+    second, through_first = [], []
+    for d in ds:
+        field = FieldDesc(d)
+        cls = voronoi._first_vertex(field)[0]
+        record = (cls.pair, cls.mu, cls.min_vectors)
+        probe = neighbor_step(field, (1, 0), (1, 0))[0]
+        assert record == (probe.pair, probe.mu, probe.min_vectors), d
+        assert record == oracles.hull_records(d)[0], d
+        y1, y2 = _first_two_minima(d)
+        assert set(cls.min_vectors) <= {(1, 0), (-1, 0), y1, (-y1[0], 1), y2, (-y2[0], -y2[1])}
+        if y2 in cls.min_vectors:
+            second.append(d)
+            if y1 in cls.min_vectors:
+                through_first.append(d)
+    assert len(ds) == 1823
+    assert (len(second), second[:6]) == (889, [3, 7, 14, 15, 21, 22])
+    assert (len(through_first), through_first[:2]) == (25, [3, 7])
+
+
+@pytest.mark.parametrize("lo", [10**6, 10**9])
+def test_first_vertex_matches_the_probe_step_at_large_d(lo):
+    # 50 seeded squarefree d from lo, fields far past those tier-1 walks
+    for d in random.Random(lo).sample(squarefree_sieve(lo, lo + 1000), 50):
+        field = FieldDesc(d)
+        cls = voronoi._first_vertex(field)[0]
+        probe = neighbor_step(field, (1, 0), (1, 0))[0]
+        assert (cls.pair, cls.mu, cls.min_vectors) == (probe.pair, probe.mu, probe.min_vectors), d
+
+
+def test_edge_cap_overrun_is_an_invariant_error(monkeypatch):
+    # d = 14 ends its first edge at y_2, and the bound clears it at the
+    # third convergent: a scan cut short of that must fail, not return an
+    # edge the bound has not cleared
+    monkeypatch.setattr(voronoi, "_EDGE_CAP", 3)
+    assert walk_classes(FieldDesc(14)).classes[0].pair == (112, 29)
+    monkeypatch.setattr(voronoi, "_EDGE_CAP", 2)
+    with pytest.raises(InvariantError, match="no first hull edge within 2 convergents"):
+        walk_classes(FieldDesc(14))
+
+
+@pytest.mark.parametrize("lost", [(1, 0), (2, -1)])
+def test_first_vertex_that_misses_its_points_is_an_invariant_error(monkeypatch, lost):
+    # d = 3: the first edge holds 1, y_1 = 1 - sqrt(3) and y_2 = 2 - sqrt(3),
+    # and the check names y_2, as ties go to the farther point.  A reduction
+    # that loses 1 or y_2 has not found the vertex
+    minima = voronoi._min_vectors_ints
+
+    def losing(reduced, basis):
+        mu, vecs = minima(reduced, basis)
+        return mu, tuple(y for y in vecs if y not in (lost, (-lost[0], -lost[1])))
+
+    monkeypatch.setattr(voronoi, "_min_vectors_ints", losing)
+    with pytest.raises(InvariantError, match=r"\(2, 1\) is not the vertex of 1 and \(2, -1\)"):
+        walk_classes(FieldDesc(3))
+
+
 def test_neighbor_step_frozen():
     F7 = FieldDesc(7)
     # leaving 14 + 5*sqrt(7) along 3 - sqrt(7), whose line is (32, -84)
@@ -163,7 +236,7 @@ def test_neighbor_step_rejects_vectors_that_are_not_primitive(vec):
 def test_trial_cap_overrun_is_an_invariant_error(monkeypatch):
     # a valid step always meets its vertex, so running out of trials is a bug
     monkeypatch.setattr(voronoi, "_TRIAL_CAP", 1)
-    with pytest.raises(InvariantError, match=r"no vertex within 1 trials right of \(1, 0\)"):
+    with pytest.raises(InvariantError, match=r"no vertex within 1 trials right of \(14, 5\)"):
         walk_classes(FieldDesc(7))
 
 
@@ -209,7 +282,7 @@ def test_trial_labels_stay_near_the_class_labels(monkeypatch):
     seen = []
     reduce = voronoi._reduce_ints
 
-    def logged(A, B, C, start):
+    def logged(A, B, C, start=(1, 0, 0, 1)):
         seen.append(A)
         return reduce(A, B, C, start)
 
@@ -297,29 +370,35 @@ def _count_steps(monkeypatch):
 
 @pytest.mark.parametrize("d", [7, 223, 1007, FAMILY_SAMPLE[0]])
 def test_walk_takes_one_step_per_class(monkeypatch, d):
-    # the first step leaves (1, 0), each later one a class; none the last class
+    # _first_vertex finds the first class with no step; each step leaves a
+    # class, and none the last class
     left = _count_steps(monkeypatch)
     walk = walk_classes(FieldDesc(d))
-    assert len(left) == walk.class_count
-    assert left == [(1, 0)] + [c.pair for c in walk.classes[:-1]]
+    assert len(left) == walk.class_count - 1
+    assert left == [c.pair for c in walk.classes[:-1]]
 
 
 @pytest.mark.parametrize("d", [7, 223, 1007, 1394942])
 def test_each_step_starts_from_the_basis_of_the_class_it_leaves(monkeypatch, d):
     # a step's first reduction starts from the reduced basis of the form of
-    # the ray it leaves, the identity for (1, 0): reducing that form from
-    # it returns it unchanged, as any Gauss step changes the basis
+    # the class it leaves, for the first class the one _first_vertex
+    # returns: reducing that form from it returns it unchanged, as any
+    # Gauss step changes the basis
     left = _count_steps(monkeypatch)
     starts = {}
     reduce = voronoi._reduce_ints
 
-    def logged(A, B, C, start):
+    def logged(A, B, C, start=(1, 0, 0, 1)):
         starts.setdefault(len(left), start)
         return reduce(A, B, C, start)
 
     monkeypatch.setattr(voronoi, "_reduce_ints", logged)
     walk = walk_classes(FieldDesc(d))
-    assert len(left) == len(starts) == walk.class_count
+    assert len(left) == walk.class_count - 1
+    assert len(starts) == walk.class_count
+    # _first_vertex's one reduction, from the identity, comes before any step
+    assert starts[0] == (1, 0, 0, 1)
+    assert starts[1] == voronoi._first_vertex(walk.field)[1]
     for k, (p, q) in enumerate(left, 1):
         form = traceform._trace_form_ints(d, p, q)
         assert reduce(*form, starts[k])[1] == starts[k], (p, q)
@@ -332,7 +411,7 @@ def test_missed_closing_test_is_an_invariant_error(monkeypatch):
     left = _count_steps(monkeypatch)
     with pytest.raises(InvariantError, match="closed past the closing test"):
         walk_classes(FieldDesc(7))
-    assert len(left) == 3
+    assert len(left) == 2
 
 
 @pytest.mark.parametrize("d", [7, 10, 79, 223])
