@@ -11,13 +11,19 @@ strictly rightward and permutes vertices, so walking vertex to vertex
 from the first vertex right of 1 up to that vertex times eps^2 lists
 every class once; the vertex count of one period is the class count.
 
-The walk takes no step to reach that closing vertex T.  Since
-Tr(x*eps^2*z^2) = Tr(x*(eps*z)^2), the minimal vectors of T are eps^-1
-times those of the first vertex, a set computed once per field.  When
-the vector the walk would leave the last class along lies in that set,
-its line is minimal both there and at T; the envelope is concave and
-lies below the line, so it equals the line on the whole segment
-between them, and T is the next vertex.
+The walk ends at the mirror of its first class.  Conjugation fixes
+traces, Tr(x'*y'^2) = Tr(x*y^2), so the form of slope -s takes at y'
+the values that the form of slope s takes at y: the envelope is
+symmetric under s -> -s, and conj maps vertices to vertices.  Slope 0,
+the form 1, is no vertex: Tr(y^2) >= 2*|N(y)| >= 2 for integral y != 0,
+with equality only where y = +-y' and |N(y)| = 1; y = -y' makes y an
+integer times sqrt(d) and |N(y)| a multiple of d, so only y = +-1 reach
+2, a single pair.  So conj(first) is the vertex just left of 0, and no
+vertex lies strictly between it and first.  Multiplication by eps^2
+maps vertices to vertices by an increasing slope map, so it carries
+conj(first) to the vertex just left of T = first*eps^2: the mirror
+eps^2*conj(first) is the period's last class, and first itself when
+the field has one class.
 
 The walk runs on ints throughout: a vertex is recorded as its ray label
 (p, q), its minimum and its minimal vectors in basis coordinates, and
@@ -294,63 +300,43 @@ class WalkResult:
         return None
 
 
-def _closing_vectors(
-    field: FieldDesc, unit: FundamentalUnit, first: PerfectForm
-) -> tuple[tuple[int, int], ...]:
-    """Minimal vectors of first*eps^2, in basis coordinates: eps^-1 times first's.
-
-    For eps = e0 + e1*omega, omega' = t - omega gives eps^-1 = N(eps)*eps'
-    = f0 + f1*omega, and each product (u + v*omega)*(f0 + f1*omega)
-    reduces omega^2 = t*omega + n.  The walk only tests membership, so
-    the vectors keep first.min_vectors' order, with both signs.
-    """
-    _, t, n = _omega(field.d)
-    e0, e1 = unit.value.basis_coords()
-    f0, f1 = unit.norm_sign * (e0 + t * e1), -unit.norm_sign * e1
-    return tuple(
-        (u * f0 + n * v * f1, u * f1 + v * f0 + t * v * f1) for u, v in first.min_vectors
-    )
-
-
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
     Starts at the first vertex right of the rational ray (1, 0), which
-    _first_vertex reads off the first hull edge with no step.  The
-    period closes at the target T, the first ray times the ray of eps^2.
-    Each step hands neighbor_step the vertex's ray and the minimal vector
-    whose line has the smallest slope coefficient; that line carries the
-    concave envelope just right of the vertex.  It also hands on, as the
-    start of the step's first reduction, the reduced basis of the
-    vertex's form, which the search that found the vertex returned.
-    Before the step, the vector is looked up among the minimal vectors
-    of T (_closing_vectors).  If it is one, its line is minimal at the
-    last class and at T; the concave envelope lies below the line and
-    meets it at both ends, so it follows the line between them, T is
-    the next vertex, and the walk stops with no step.  A step that lands
-    on T all the same means the test missed, a bug.  Rays multiply as
-    integer pairs and compare by cross-multiplication, so the walk does
-    no field arithmetic per step.
+    _first_vertex reads off the first hull edge with no step, and ends
+    at its mirror, the ray of eps^2*conj(first), which the module
+    docstring proves is the period's last class.  Each step hands
+    neighbor_step the vertex's ray and the minimal vector whose line has
+    the smallest slope coefficient; that line carries the concave
+    envelope just right of the vertex.  It also hands on, as the start
+    of the step's first reduction, the reduced basis of the vertex's
+    form, which the search that found the vertex returned.  The walk
+    stops when the first class or a step lands on the mirror; a mirror
+    left of the first class, or a step past it, is a bug.  Rays multiply
+    as integer pairs and compare by cross-multiplication, so the walk
+    does no field arithmetic per step.
     """
     d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
     first, basis = _first_vertex(field)
     p, q = first.pair
-    target = _ray_times(d, first.pair, primitive_normalize(eps2))
-    if target[1] * p <= q * target[0]:
-        raise InvariantError("squared unit failed to shift the start rightward")
-    closing = _closing_vectors(field, unit, first)
+    mirror = _ray_times(d, (p, -q), primitive_normalize(eps2))
+    m_p, m_q = mirror
+    if m_q * p < q * m_p:
+        raise InvariantError(f"the mirror {mirror} lies left of the first class {(p, q)}")
     forms = _support_forms(d)
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]
-        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
-        if vec in closing:
+        if last.pair == mirror:
             return WalkResult(field, tuple(classes), unit, eps2)
+        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
         nxt, basis = neighbor_step(field, last.pair, vec, basis)
-        if nxt.pair == target:
-            raise InvariantError("the period closed past the closing test")
+        p, q = nxt.pair
+        if q * m_p > m_q * p:
+            raise InvariantError(f"the step to {nxt.pair} passed the mirror {mirror}")
         classes.append(nxt)
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 

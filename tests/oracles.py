@@ -12,8 +12,16 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator
 
-from unaryperfect.quadfield import FieldDesc, FieldElem, QuadFieldError, SizeLimitError
+from unaryperfect.quadfield import (
+    FieldDesc,
+    FieldElem,
+    QuadFieldError,
+    SizeLimitError,
+    primitive_normalize,
+)
+from unaryperfect.traceform import _min_coords
 from unaryperfect.units import FundamentalUnit
+from unaryperfect.voronoi import WalkResult
 
 
 def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
@@ -201,3 +209,17 @@ def hull_records(
         vectors = tuple(sorted(c for u, v in on for c in ((u, v), (-u, -v))))
         records.append(((p, q), Fraction(2 * value, g * g), vectors))
     return records
+
+
+def mirror_record(
+    walk: WalkResult,
+) -> tuple[tuple[int, int], Fraction, tuple[tuple[int, int], ...]]:
+    """(pair, mu, min_vectors) of eps2*conj(x_0), x_0 the form of the walk's first class.
+
+    The ray comes from field arithmetic, and the minimum and minimal
+    vectors from one reduction of the ray's form from the identity, so
+    nothing here uses the walk's stop or its warm-started reductions.
+    """
+    field = walk.field
+    pair = primitive_normalize(field.element(*walk.classes[0].pair).conj() * walk.eps2)
+    return (pair, *_min_coords(field.element(*pair)))

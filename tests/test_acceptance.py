@@ -13,6 +13,7 @@ from math import isqrt
 from oracles import (
     SearchExhaustedError,
     hull_records,
+    mirror_record,
     period_states,
     power,
     real_sign,
@@ -364,10 +365,14 @@ def test_criterion_8_hull_edges_are_the_walked_classes():
 
 
 def test_criterion_8_conjugation_reflects_the_class_list():
-    """Over every squarefree d in [2, 3000]: one c per field gives
-    class_index(conj(x_j)) = (c - j) mod nK for every class form x_j;
-    c is odd when nK is even, so no class is its own conjugate, and
-    exactly one class is when nK is odd."""
+    """Over every squarefree d in [2, 3000]: class_index(conj(x_j)) =
+    (nK - 1 - j) mod nK for every class form x_j, so conj(x_0) lies in
+    the last class, as the voronoi docstring proves; nK - 1 is odd when
+    nK is even, so no class is its own conjugate, and exactly one class
+    is when nK is odd.  The last class is eps^2*conj(x_0) as a whole
+    record, its ray from field arithmetic and its minimum and vectors
+    from one cold reduction, not from the walk's stop; test_voronoi's
+    test_walk_period_closes checks the same on fields up to 2*10^9."""
     t0 = time.monotonic()
     ds = squarefree_sieve(2, 3000)
     odd = 0
@@ -375,14 +380,15 @@ def test_criterion_8_conjugation_reflects_the_class_list():
         walk = _walk(d)
         n = walk.class_count
         flipped = [walk.class_index(_form(walk, cls).conj()) for cls in walk.classes]
-        c = flipped[0]
-        assert flipped == [(c - j) % n for j in range(n)], d
+        assert flipped == [(n - 1 - j) % n for j in range(n)], d
         fixed = sum(j == i for j, i in enumerate(flipped))
         if n % 2:
             assert fixed == 1, d
             odd += 1
         else:
-            assert c % 2 == 1 and fixed == 0, d
+            assert fixed == 0, d
+        last = walk.classes[-1]
+        assert (last.pair, last.mu, last.min_vectors) == mirror_record(walk), d
     assert len(ds) == 1823
     _passed(8, f"{len(ds)} fields reflected by conjugation, {odd} with one self-conjugate class", t0)
 

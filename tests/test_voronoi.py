@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 import oracles
 from unaryperfect import traceform, voronoi
 from unaryperfect.cli import squarefree_sieve
-from unaryperfect.family import construct_a1_a2, construct_a3, generate_family, nr_decompose
+from unaryperfect.family import (
+    classify_T,
+    construct_a1_a2,
+    construct_a3,
+    generate_family,
+    nr_decompose,
+)
 from unaryperfect.quadfield import (
     FieldDesc,
     FieldElem,
@@ -347,10 +353,13 @@ def test_closing_sample_covers_both_bases_and_norm_signs():
 
 @pytest.mark.parametrize("d", CLOSING_SAMPLE)
 def test_walk_period_closes(d):
-    # the step the closing test saves lands on the first vertex times eps^2
+    # the walk stops at the mirror eps^2*conj(first), a whole record built
+    # by field arithmetic and a cold reduction; the step after that last
+    # class still lands on the first vertex times eps^2
     field = FieldDesc(d)
     walk = walk_classes(field)
     last = walk.classes[-1]
+    assert (last.pair, last.mu, last.min_vectors) == oracles.mirror_record(walk)
     nxt, _ = neighbor_step(field, last.pair, rightward_vec(field, last))
     assert nxt.pair == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
 
@@ -404,14 +413,67 @@ def test_each_step_starts_from_the_basis_of_the_class_it_leaves(monkeypatch, d):
         assert reduce(*form, starts[k])[1] == starts[k], (p, q)
 
 
-def test_missed_closing_test_is_an_invariant_error(monkeypatch):
-    # with no closing vectors the step from the last class reaches the
-    # target; that must fail at once, not walk on to _WALK_CAP
-    monkeypatch.setattr(voronoi, "_closing_vectors", lambda *args: frozenset())
+@pytest.mark.parametrize(
+    "d,tag", [(2, "T1"), (3, "T2"), (5, "T3"), (10, "T1"), (21, "T4"), (26, "T1")]
+)
+def test_one_class_fields_are_their_own_mirror(monkeypatch, d, tag):
+    # nK = 1: the mirror of the first class is the first class, and the
+    # walk returns it with no step
+    assert classify_T(d) == tag
     left = _count_steps(monkeypatch)
-    with pytest.raises(InvariantError, match="closed past the closing test"):
-        walk_classes(FieldDesc(7))
-    assert len(left) == 2
+    walk = walk_classes(FieldDesc(d))
+    first = walk.classes[0]
+    assert walk.class_count == 1 and left == []
+    assert (first.pair, first.mu, first.min_vectors) == oracles.mirror_record(walk)
+
+
+@pytest.mark.parametrize("d", [7, 30])
+def test_two_class_fields_step_once_onto_the_mirror(monkeypatch, d):
+    # nK = 2: one step, from the first class, and it lands on the mirror
+    landed = []
+    step = voronoi.neighbor_step
+
+    def logged(*args):
+        nxt, basis = step(*args)
+        landed.append(nxt)
+        return nxt, basis
+
+    monkeypatch.setattr(voronoi, "neighbor_step", logged)
+    walk = walk_classes(FieldDesc(d))
+    assert walk.class_count == 2 and landed == [walk.classes[1]]
+    nxt = landed[0]
+    assert (nxt.pair, nxt.mu, nxt.min_vectors) == oracles.mirror_record(walk)
+
+
+def _patch_mirror(monkeypatch, ray):
+    """Make the walk's one _ray_times call, its mirror, return ray."""
+    monkeypatch.setattr(voronoi, "_ray_times", lambda *args: ray)
+
+
+@pytest.mark.parametrize("gap", [0, 1])
+def test_step_past_the_mirror_is_an_invariant_error(monkeypatch, gap):
+    # a mirror strictly between two vertices of d = 223, which no step can
+    # land on: the first step past it must fail, not walk on to _WALK_CAP
+    field = FieldDesc(223)
+    walk = walk_classes(field)
+    pairs = [c.pair for c in walk.classes]
+    pairs.append(primitive_normalize(form(field, walk.classes[0]) * walk.eps2))
+    (p0, q0), (p1, q1) = pairs[gap], pairs[gap + 1]
+    _patch_mirror(monkeypatch, (p0 + p1, q0 + q1))
+    left = _count_steps(monkeypatch)
+    with pytest.raises(InvariantError, match=rf"the step to \({p1}, {q1}\) passed the mirror"):
+        walk_classes(field)
+    assert left == pairs[: gap + 1]
+
+
+def test_mirror_left_of_the_first_class_is_an_invariant_error(monkeypatch):
+    # (1, 0) has slope 0, left of every first class: no step is taken
+    _patch_mirror(monkeypatch, (1, 0))
+    left = _count_steps(monkeypatch)
+    message = r"the mirror \(1, 0\) lies left of the first class \(2230, 149\)"
+    with pytest.raises(InvariantError, match=message):
+        walk_classes(FieldDesc(223))
+    assert left == []
 
 
 @pytest.mark.parametrize("d", [7, 10, 79, 223])
