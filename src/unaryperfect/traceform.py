@@ -46,6 +46,18 @@ def _round_nearest_even(num: int, den: int) -> int:
     return q
 
 
+def _in_basis(
+    form: tuple[int, int, int], basis: tuple[int, int, int, int]
+) -> tuple[int, int, int]:
+    """The form (A, B, C) written over basis: (m00, m01, m10, m11), columns in its coordinates."""
+    (A, B, C), (u00, u01, u10, u11) = form, basis
+    return (
+        A * u00 * u00 + B * u00 * u10 + C * u10 * u10,
+        2 * A * u00 * u01 + B * (u00 * u11 + u01 * u10) + 2 * C * u10 * u11,
+        A * u01 * u01 + B * u01 * u11 + C * u11 * u11,
+    )
+
+
 def _reduce_ints(
     A: int, B: int, C: int, start: tuple[int, int, int, int] = (1, 0, 0, 1)
 ) -> tuple[tuple[int, int, int], tuple[int, int, int, int]]:
@@ -60,11 +72,7 @@ def _reduce_ints(
     only guards against a malformed input slipping past validation.
     """
     u00, u01, u10, u11 = start
-    A, B, C = (
-        A * u00 * u00 + B * u00 * u10 + C * u10 * u10,
-        2 * A * u00 * u01 + B * (u00 * u11 + u01 * u10) + 2 * C * u10 * u11,
-        A * u01 * u01 + B * u01 * u11 + C * u11 * u11,
-    )
+    A, B, C = _in_basis((A, B, C), start)
     for _ in range(_REDUCE_CAP):
         if abs(B) <= A <= C:
             return (A, B, C), (u00, u01, u10, u11)

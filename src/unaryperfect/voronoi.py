@@ -30,15 +30,51 @@ The walk runs on ints throughout: a vertex is recorded as its ray label
 each step is handed the vertex's label and the minimal vector to leave
 along, so no field element is built per step.
 
-The pairs grow to hundreds of bits along a period, and a search that
+The pairs grow to thousands of bits along a period, and a search that
 starts from scratch costs rounds in proportion to their bit length.  A
-step avoids that twice, so its cost does not grow along the period: its
-opening ceiling comes from a closed-form bound on the gap to 1/sqrt(d),
-and its Gauss reductions start warm: each trial passes
+step avoids that twice, so its count of rounds does not grow along the
+period: its opening ceiling comes from a closed-form bound on the gap
+to 1/sqrt(d), and its Gauss reductions start warm: each trial passes
 traceform._reduce_ints a `start` basis, for the first trial the reduced
 basis of the class the step leaves, handed on by the search that
 found that class, and for each later one the reduced basis of the trial
-before it.
+before it.  Over the trace forms of 1 and sqrt(d), though, a trial's
+label and form are twice the size of the class's pair, so each round
+would cost more along the period.
+
+So the walk steps in the frame of an anchor class a = a_p + a_q*sqrt(d),
+a primitive label.  With U the reduced basis of a's form, the forms
+G = Tr(a*y^2) and H = Tr(a*sqrt(d)*y^2), written over U, stand in for
+those of 1 and sqrt(d), and the ray (x, y) of the frame is the class
+of a*(x + y*sqrt(d)), whose form over U is x*G + y*H.  The step in the
+frame meets the vertex that the step in the standard basis meets: the
+rays right of a*w, for w = x + y*sqrt(d), are a*w*(1 + t*sqrt(d)),
+t > 0, since multiplying by the totally positive a*w maps slopes by an
+increasing Moebius map, and so are the rays right of (x, y) in the
+frame.  Its rightward vector is the same in any frame too: on the
+pencil of the class c, a*sqrt(d) = l*sqrt(d) + m*c with l > 0, and on
+c's minimal vectors Tr(c*y^2) is the minimum, so adding a multiple of
+the current form leaves the order of the minimal vectors' slope
+coefficients unchanged.  The class's label is (a_p*x + d*a_q*y,
+a_q*x + a_p*y)/h, h the gcd of those two parts; its minimum is the
+reduced form's first coefficient over h, and its minimal vectors are
+U*z for the vectors z found in the frame.  h divides N(w): if it
+divides a*w it divides a*w*conj(w) = N(w)*a, and a is primitive.  So h
+is the gcd of N(w) and the parts' remainders modulo N(w).  Once x
+passes _ANCHOR, 2^60, the anchor moves to the class: U becomes U*V, V
+the class's reduced basis in the frame, (G, H) becomes its reduced
+form and d*y*G + x*H, the form of a*w*sqrt(d), written over V, both
+over h, and the ray becomes (1, 0).  The frame's forms are then those
+of a class label over its reduced basis, of a size set by the label's
+norm and d, which multiplication by eps^2 keeps, so a step's integers
+stay of a size set by the field, wherever it lies in the period: no
+reduction input passed 193 bits at d = 1394942, whose pairs reach 852.
+The large integers take only products with small ones, to write a
+class in the standard basis, to move U and to check a step against the
+mirror: the walk keeps mirror*conj(a), the mirror's ray in the frame,
+and moving the anchor to a*w/h multiplies it by conj(w)/h, exactly.  Until the first class
+left passes 2^60 the anchor stays at 1, with U the identity and
+(G, H) the standard forms, and the walk makes the standard trials.
 
 The first vertex is the first edge of a hull, found without a probe.
 Write p_k/q_k for the convergents of omega = (t + sqrt(d))/g, so that
@@ -68,12 +104,13 @@ from math import gcd, isqrt
 
 from .quadfield import FieldDesc, FieldElem, _omega, primitive_normalize
 from .quadfield import InvariantError, QuadFieldError, SizeLimitError
-from .traceform import _both_signs, _min_vectors_ints, _reduce_ints, _trace_form_ints
+from .traceform import _both_signs, _in_basis, _min_vectors_ints, _reduce_ints, _trace_form_ints
 from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
 _EDGE_CAP = 10**3
+_ANCHOR = 1 << 60  # the walk moves its anchor past this (module docstring)
 
 
 def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
@@ -82,7 +119,7 @@ def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
 
 
 def _line_of_basis_vec(forms: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
-    """(Tr(y^2), Tr(sqrt(d)*y^2)) for y = u + v*omega: the _support_forms at y."""
+    """The two forms at y = u + v*omega: (Tr(y^2), Tr(sqrt(d)*y^2)) for _support_forms."""
     A0, B0, C0, A1, B1, C1 = forms
     uu, uv, vv = u * u, u * v, v * v
     return A0 * uu + B0 * uv + C0 * vv, A1 * uu + B1 * uv + C1 * vv
@@ -113,6 +150,7 @@ def neighbor_step(
     pair: tuple[int, int],
     vec: tuple[int, int],
     start: tuple[int, int, int, int] = (1, 0, 0, 1),
+    forms: tuple[int, int, int, int, int, int] | None = None,
 ) -> tuple[PerfectForm, tuple[int, int, int, int]]:
     """Next envelope vertex strictly right of the ray pair = (p, q), p > 0,
     and the reduced basis of its form.
@@ -146,6 +184,11 @@ def neighbor_step(
     later trial starts from the reduced basis of the trial before it,
     so a step costs the same few Gauss steps wherever it lies in the
     period.
+
+    forms are the two trace forms whose lines the step compares, by
+    default _support_forms(d), those of 1 and sqrt(d).  The walk hands
+    in an anchor class's forms, over whose frame (module docstring)
+    pair, vec, start and the result are then read.
     """
     d = field.d
     p, q = pair
@@ -156,7 +199,8 @@ def neighbor_step(
         raise QuadFieldError(f"{vec} is not a primitive vector")
     s0 = Fraction(q, p)
     basis = start
-    forms = _support_forms(d)
+    if forms is None:
+        forms = _support_forms(d)
     a_ic, a_sc = _line_of_basis_vec(forms, *vec)
     base = 4 * p
     # base * r is the least multiple of base above the bound; 4^j >= r
@@ -300,6 +344,53 @@ class WalkResult:
         return None
 
 
+def _from_frame(
+    d: int, anchor: tuple[int, int], frame: tuple[int, int, int, int], cls: PerfectForm
+) -> tuple[PerfectForm, int]:
+    """The class of anchor*(x + y*sqrt(d)) for the ray cls.pair = (x, y) of the
+    anchor's frame, and h, the gcd that makes its label primitive.
+
+    cls is the record that neighbor_step found over the anchor's forms,
+    written in frame, the anchor's reduced basis.  h divides
+    N(x + y*sqrt(d)), so the gcd runs on remainders of that small norm.
+    """
+    (x, y), (a_p, a_q) = cls.pair, anchor
+    n = x * x - d * y * y
+    p, q = a_p * x + d * a_q * y, a_q * x + a_p * y
+    h = gcd(n, p % n, q % n)
+    u00, u01, u10, u11 = frame
+    vecs = tuple(sorted((u00 * s + u01 * t, u10 * s + u11 * t) for s, t in cls.min_vectors))
+    return PerfectForm((p // h, q // h), cls.mu // h, vecs), h
+
+
+def _moved_anchor(
+    d: int,
+    forms: tuple[int, int, int, int, int, int],
+    frame: tuple[int, int, int, int],
+    ray: tuple[int, int],
+    basis: tuple[int, int, int, int],
+    h: int,
+) -> tuple[tuple[int, int, int, int, int, int], tuple[int, int, int, int]]:
+    """The forms and frame of the class anchor*(x + y*sqrt(d))/h, ray = (x, y),
+    whose reduced form in the anchor's frame is over basis.
+
+    Its forms are those of x + y*sqrt(d) and d*y + x*sqrt(d) over the
+    anchor's forms, written over basis and divided by h; its frame is
+    the anchor's times basis.
+    """
+    (x, y), (A0, B0, C0, A1, B1, C1) = ray, forms
+    G = _in_basis((x * A0 + y * A1, x * B0 + y * B1, x * C0 + y * C1), basis)
+    H = _in_basis((d * y * A0 + x * A1, d * y * B0 + x * B1, d * y * C0 + x * C1), basis)
+    (u00, u01, u10, u11), (v00, v01, v10, v11) = frame, basis
+    frame = (
+        u00 * v00 + u01 * v10,
+        u00 * v01 + u01 * v11,
+        u10 * v00 + u11 * v10,
+        u10 * v01 + u11 * v11,
+    )
+    return tuple(c // h for c in G + H), frame
+
+
 def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
@@ -316,6 +407,12 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     left of the first class, or a step past it, is a bug.  Rays multiply
     as integer pairs and compare by cross-multiplication, so the walk
     does no field arithmetic per step.
+
+    The steps run in the frame of an anchor class, as the module
+    docstring sets out: the anchor starts at 1, in the standard basis,
+    and moves to the class a step leaves once that class's ray in the
+    frame passes _ANCHOR.  Until it first moves, the walk's rays,
+    vectors and forms are the standard ones.
     """
     d = field.d
     unit = fundamental_unit(field)
@@ -327,15 +424,29 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     if m_q * p < q * m_p:
         raise InvariantError(f"the mirror {mirror} lies left of the first class {(p, q)}")
     forms = _support_forms(d)
+    anchor, frame, h = None, (1, 0, 0, 1), 1  # anchor is None while it is 1
+    ray, vecs = first.pair, first.min_vectors
     classes = [first]
     for _ in range(_WALK_CAP):
         last = classes[-1]
         if last.pair == mirror:
             return WalkResult(field, tuple(classes), unit, eps2)
-        vec = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
-        nxt, basis = neighbor_step(field, last.pair, vec, basis)
-        p, q = nxt.pair
-        if q * m_p > m_q * p:
+        if ray[0] > _ANCHOR:
+            # the class left, anchor*w/h, becomes the anchor, over its
+            # reduced basis; (m_p, m_q) is mirror*conj(anchor), the
+            # mirror's ray in the frame, so it takes conj(w)/h, exactly
+            x, y = ray
+            m_p, m_q = (m_p * x - d * m_q * y) // h, (m_q * x - m_p * y) // h
+            forms, frame = _moved_anchor(d, forms, frame, ray, basis, h)
+            anchor, ray, basis = last.pair, (1, 0), (1, 0, 0, 1)
+            vecs = _both_signs(_min_vectors_ints(forms[:3], basis)[1])
+        vec = min(vecs, key=lambda y: _line_of_basis_vec(forms, *y)[1])
+        nxt, basis = neighbor_step(field, ray, vec, basis, forms)
+        ray, vecs = nxt.pair, nxt.min_vectors
+        if anchor:
+            nxt, h = _from_frame(d, anchor, frame, nxt)
+        x, y = ray
+        if y * m_p > m_q * x:
             raise InvariantError(f"the step to {nxt.pair} passed the mirror {mirror}")
         classes.append(nxt)
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")

@@ -279,27 +279,88 @@ def test_walk_work_is_flat_along_the_period(monkeypatch):
 
 
 def test_trial_labels_stay_near_the_class_labels(monkeypatch):
-    # each trial's ceiling has a denominator that is a multiple of the
-    # step's p, so the trial labels grow by bounded factors from the
-    # vertex's: a trial's leading coefficient A = 2*p_t has at most 32
-    # bits over twice the largest class p (25 at worst for d <= 3000).
-    # Ceilings from 4*(p+1) reached 556 bits at d = 919, whose largest
-    # class p has 187
+    # the walk steps in the frame of an anchor class and moves the anchor
+    # once a ray in its frame passes 2^60, so a trial's label stays near a
+    # ray of at most about 60 bits and the anchor's forms, whatever the
+    # size of the class labels: no reduction input has more than 256 bits
+    # (193 at most, at d = 1394942), where the class pairs reach 203 bits
+    # at d <= 1000, 852 at d = 1394942 and 1672 at d = 1000003
     seen = []
     reduce = voronoi._reduce_ints
 
     def logged(A, B, C, start=(1, 0, 0, 1)):
-        seen.append(A)
+        seen.append(max(abs(A), abs(B), abs(C)))
         return reduce(A, B, C, start)
 
     monkeypatch.setattr(voronoi, "_reduce_ints", logged)
+    pair_bits = {}
+    for d in [d for d in range(2, 1001) if is_squarefree(d)] + [1394942, 1000003]:
+        seen.clear()
+        result = walk_classes(FieldDesc(d))
+        pair_bits[d] = max(c.pair[0] for c in result.classes).bit_length()
+        assert max(seen).bit_length() <= 256, d
+    assert max(b for d, b in pair_bits.items() if d <= 1000) == 203
+    assert (pair_bits[1394942], pair_bits[1000003]) == (852, 1672)
+
+
+@pytest.mark.parametrize("d", [1000003, 1394942, 10000019])
+def test_walk_matches_the_hull_where_the_anchor_moves(monkeypatch, d):
+    # the steps leave the ray (1, 0) of a moved anchor's frame only; these
+    # fields move it many times, and every record must still be the hull's
+    left = _count_steps(monkeypatch)
+    walk = walk_classes(FieldDesc(d))
+    assert [(c.pair, c.mu, c.min_vectors) for c in walk.classes] == oracles.hull_records(d)
+    assert left.count((1, 0)) >= 10
+
+
+def test_an_anchor_moved_at_every_step_gives_the_same_records(monkeypatch):
+    # with no bound, every class left becomes the anchor, so each class
+    # is found from the ray (1, 0) of its predecessor's frame and written
+    # back through the frame and the gcd h; the records must not change.
+    # h > 1 where the label a*(x + y*sqrt(d)) is not primitive
+    hs = Counter()
+    from_frame = voronoi._from_frame
+
+    def logged(*args):
+        cls, h = from_frame(*args)
+        hs[h] += 1
+        return cls, h
+
+    monkeypatch.setattr(voronoi, "_from_frame", logged)
+    monkeypatch.setattr(voronoi, "_ANCHOR", 0)
+    for d in range(2, 1001):
+        if is_squarefree(d):
+            walk = walk_classes(FieldDesc(d))
+            assert [(c.pair, c.mu, c.min_vectors) for c in walk.classes] == oracles.hull_records(d), d
+    assert sum(hs.values()) > 2000 and set(hs) - {1}
+
+
+def test_fields_with_small_pairs_step_in_the_standard_frame(monkeypatch):
+    # while every class pair stays below 2^60 the anchor stays at 1, so
+    # neighbor_step is handed the class pairs themselves over the standard
+    # forms: those fields make exactly the standard frame's trials.  The
+    # pairs pass 2^60 from d = 151 on, in 109 of the 607 fields
+    calls = []
+    step = voronoi.neighbor_step
+
+    def logged(field, pair, vec, start, forms):
+        calls.append((pair, forms))
+        return step(field, pair, vec, start, forms)
+
+    monkeypatch.setattr(voronoi, "neighbor_step", logged)
+    large = []
     for d in range(2, 1001):
         if not is_squarefree(d):
             continue
-        seen.clear()
-        result = walk_classes(FieldDesc(d))
-        b = max(c.pair[0] for c in result.classes).bit_length()
-        assert max(A.bit_length() for A in seen) <= 2 * b + 32, d
+        calls.clear()
+        walk = walk_classes(FieldDesc(d))
+        if max(c.pair[0] for c in walk.classes) >= 2**60:
+            large.append(d)
+            continue
+        assert [pair for pair, _ in calls] == [c.pair for c in walk.classes[:-1]], d
+        assert all(forms == _support_forms(d) for _, forms in calls), d
+    assert (len(large), large[0]) == (109, 151)
+
 
 WALK_TABLE = {
     2: [(2, 1)],
@@ -390,27 +451,39 @@ def test_walk_takes_one_step_per_class(monkeypatch, d):
 @pytest.mark.parametrize("d", [7, 223, 1007, 1394942])
 def test_each_step_starts_from_the_basis_of_the_class_it_leaves(monkeypatch, d):
     # a step's first reduction starts from the reduced basis of the form of
-    # the class it leaves, for the first class the one _first_vertex
-    # returns: reducing that form from it returns it unchanged, as any
-    # Gauss step changes the basis
-    left = _count_steps(monkeypatch)
+    # the class it leaves, over the forms of the step's frame: for the
+    # first class the one _first_vertex returns, and for a class that has
+    # just become the anchor the identity, its frame being its reduced
+    # basis.  Reducing that form from it returns it unchanged, as any
+    # Gauss step changes the basis.  d = 1394942 moves its anchor
+    steps = []
+    step = voronoi.neighbor_step
+
+    def counted(field, pair, vec, start, forms):
+        steps.append((pair, forms))
+        return step(field, pair, vec, start, forms)
+
+    monkeypatch.setattr(voronoi, "neighbor_step", counted)
     starts = {}
     reduce = voronoi._reduce_ints
 
     def logged(A, B, C, start=(1, 0, 0, 1)):
-        starts.setdefault(len(left), start)
+        starts.setdefault(len(steps), start)
         return reduce(A, B, C, start)
 
     monkeypatch.setattr(voronoi, "_reduce_ints", logged)
     walk = walk_classes(FieldDesc(d))
-    assert len(left) == walk.class_count - 1
+    assert len(steps) == walk.class_count - 1
     assert len(starts) == walk.class_count
     # _first_vertex's one reduction, from the identity, comes before any step
     assert starts[0] == (1, 0, 0, 1)
     assert starts[1] == voronoi._first_vertex(walk.field)[1]
-    for k, (p, q) in enumerate(left, 1):
-        form = traceform._trace_form_ints(d, p, q)
+    for k, ((p, q), (A0, B0, C0, A1, B1, C1)) in enumerate(steps, 1):
+        form = p * A0 + q * A1, p * B0 + q * B1, p * C0 + q * C1
         assert reduce(*form, starts[k])[1] == starts[k], (p, q)
+        if (p, q) == (1, 0):
+            assert starts[k] == (1, 0, 0, 1)
+    assert ((1, 0) in [pair for pair, _ in steps]) == (d == 1394942)
 
 
 @pytest.mark.parametrize(
@@ -464,6 +537,22 @@ def test_step_past_the_mirror_is_an_invariant_error(monkeypatch, gap):
     with pytest.raises(InvariantError, match=rf"the step to \({p1}, {q1}\) passed the mirror"):
         walk_classes(field)
     assert left == pairs[: gap + 1]
+
+
+def test_step_past_the_mirror_of_a_moved_anchor_is_an_invariant_error(monkeypatch):
+    # d = 1394942 has moved its anchor before its last classes, so the
+    # step past a mirror between the last two is caught on the mirror's
+    # ray in the moved frame, which moves with the anchor.  A cap of one
+    # step more than the period makes a missed check fail at once
+    field = FieldDesc(1394942)
+    walk = walk_classes(field)
+    (p0, q0), (p1, q1) = (c.pair for c in walk.classes[-2:])
+    _patch_mirror(monkeypatch, (p0 + p1, q0 + q1))
+    monkeypatch.setattr(voronoi, "_WALK_CAP", walk.class_count + 1)
+    left = _count_steps(monkeypatch)
+    with pytest.raises(InvariantError, match=rf"the step to \({p1}, {q1}\) passed the mirror"):
+        walk_classes(field)
+    assert len(left) == walk.class_count - 1 and (1, 0) in left
 
 
 def test_mirror_left_of_the_first_class_is_an_invariant_error(monkeypatch):
