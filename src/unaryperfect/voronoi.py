@@ -27,54 +27,52 @@ the field has one class.
 
 The walk runs on ints throughout: a vertex is recorded as its ray label
 (p, q), its minimum and its minimal vectors in basis coordinates, and
-each step is handed the vertex's label and the minimal vector to leave
-along, so no field element is built per step.
+no field element is built per step.
 
-The pairs grow to thousands of bits along a period, and a search that
-starts from scratch costs rounds in proportion to their bit length.  A
-step avoids that twice, so its count of rounds does not grow along the
-period: its opening ceiling comes from a closed-form bound on the gap
-to 1/sqrt(d), and its Gauss reductions start warm: each trial passes
-traceform._reduce_ints a `start` basis, for the first trial the reduced
-basis of the class the step leaves, handed on by the search that
-found that class, and for each later one the reduced basis of the trial
-before it.  Over the trace forms of 1 and sqrt(d), though, a trial's
-label and form are twice the size of the class's pair, so each round
-would cost more along the period.
+The pairs grow to thousands of bits along a period, and over the trace
+forms of 1 and sqrt(d) a step's trials would grow with them.  So each
+step runs in the frame of the class it leaves, the anchor
+c = c_p + c_q*sqrt(d), a primitive label.  With U the reduced basis of
+c's form, the forms G = Tr(c*y^2) and H = Tr(c*sqrt(d)*y^2), written
+over U, stand in for those of 1 and sqrt(d), and the ray (x, y) of the
+frame is the class of c*(x + y*sqrt(d)), whose form over U is
+x*G + y*H.  The step leaves
+the frame's ray (1, 0), c itself, and meets the vertex that the step
+in the standard basis meets: the rays right of c are
+c*(1 + t*sqrt(d)), t > 0, since multiplying by the totally positive c
+maps slopes by an increasing Moebius map, and so are the rays right of
+(1, 0) in the frame.  Its rightward vector is the same in any frame
+too: on the pencil of c, c*sqrt(d) = l*sqrt(d) + m*c with
+l = N(c)/c_p > 0, and on c's minimal vectors Tr(c*y^2) is the minimum,
+so adding a multiple of the current form leaves the order of the
+minimal vectors' slope coefficients unchanged.
 
-So the walk steps in the frame of an anchor class a = a_p + a_q*sqrt(d),
-a primitive label.  With U the reduced basis of a's form, the forms
-G = Tr(a*y^2) and H = Tr(a*sqrt(d)*y^2), written over U, stand in for
-those of 1 and sqrt(d), and the ray (x, y) of the frame is the class
-of a*(x + y*sqrt(d)), whose form over U is x*G + y*H.  The step in the
-frame meets the vertex that the step in the standard basis meets: the
-rays right of a*w, for w = x + y*sqrt(d), are a*w*(1 + t*sqrt(d)),
-t > 0, since multiplying by the totally positive a*w maps slopes by an
-increasing Moebius map, and so are the rays right of (x, y) in the
-frame.  Its rightward vector is the same in any frame too: on the
-pencil of the class c, a*sqrt(d) = l*sqrt(d) + m*c with l > 0, and on
-c's minimal vectors Tr(c*y^2) is the minimum, so adding a multiple of
-the current form leaves the order of the minimal vectors' slope
-coefficients unchanged.  The class's label is (a_p*x + d*a_q*y,
-a_q*x + a_p*y)/h, h the gcd of those two parts; its minimum is the
-reduced form's first coefficient over h, and its minimal vectors are
-U*z for the vectors z found in the frame.  h divides N(w): if it
-divides a*w it divides a*w*conj(w) = N(w)*a, and a is primitive.  So h
-is the gcd of N(w) and the parts' remainders modulo N(w).  Once x
-passes _ANCHOR, 2^60, the anchor moves to the class: U becomes U*V, V
-the class's reduced basis in the frame, (G, H) becomes its reduced
-form and d*y*G + x*H, the form of a*w*sqrt(d), written over V, both
-over h, and the ray becomes (1, 0).  The frame's forms are then those
-of a class label over its reduced basis, of a size set by the label's
-norm and d, which multiplication by eps^2 keeps, so a step's integers
-stay of a size set by the field, wherever it lies in the period: no
-reduction input passed 193 bits at d = 1394942, whose pairs reach 852.
-The large integers take only products with small ones, to write a
-class in the standard basis, to move U and to check a step against the
-mirror: the walk keeps mirror*conj(a), the mirror's ray in the frame,
-and moving the anchor to a*w/h multiplies it by conj(w)/h, exactly.  Until the first class
-left passes 2^60 the anchor stays at 1, with U the identity and
-(G, H) the standard forms, and the walk makes the standard trials.
+The class found at the frame's ray w = x + y*sqrt(d) has the label
+(c_p*x + d*c_q*y, c_q*x + c_p*y)/h, h the gcd of those two parts; its
+minimum is the reduced form's first coefficient over h, and its
+minimal vectors are U*z for the vectors z found in the frame.  h
+divides N(w): if it divides c*w it divides c*w*conj(w) = N(w)*c, and
+c is primitive.  So h is the gcd of N(w) and the parts' remainders
+modulo N(w).  The class then gives the next step its frame: U becomes
+U*V, V its reduced basis in c's frame, and (G, H) becomes its reduced
+form and d*y*G + x*H, the form of c*w*sqrt(d), written over V, both
+over h.  The first class takes its frame the same way from the
+standard one, that of c = 1, with U the identity and (G, H) the forms
+of 1 and sqrt(d).  A frame's forms are those of a class label over its
+reduced basis, of a size set by the label's norm and d, which
+multiplication by eps^2 keeps, so a step's integers stay of a size set
+by the field, wherever it lies in the period: no reduction input
+passed 111 bits at d = 1394942, whose pairs reach 852.  The large
+integers take only products with small ones, to write a class in the
+standard basis, to move U and to check a step against the mirror: the
+walk keeps mirror*conj(c), the mirror's ray in c's frame, and moving
+to the class c*w/h multiplies it by conj(w)/h, exactly.
+
+Nor does a step's count of rounds grow along the period: its opening
+ceiling comes from a closed-form bound on the gap from 0 to
+1/sqrt(d), and its Gauss reductions start warm, the first trial's from
+the identity, the reduced basis of c's form in c's own frame, and each
+later one from the reduced basis of the trial before it.
 
 The first vertex is the first edge of a hull, found without a probe.
 Write p_k/q_k for the convergents of omega = (t + sqrt(d))/g, so that
@@ -110,7 +108,6 @@ from .units import FundamentalUnit, fundamental_unit, unit_square
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
 _EDGE_CAP = 10**3
-_ANCHOR = 1 << 60  # the walk moves its anchor past this (module docstring)
 
 
 def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
@@ -146,19 +143,21 @@ def _below_boundary(d: int, denom: int) -> Fraction:
 
 
 def neighbor_step(
-    field: FieldDesc,
-    pair: tuple[int, int],
-    vec: tuple[int, int],
-    start: tuple[int, int, int, int] = (1, 0, 0, 1),
-    forms: tuple[int, int, int, int, int, int] | None = None,
+    field: FieldDesc, vec: tuple[int, int], forms: tuple[int, int, int, int, int, int]
 ) -> tuple[PerfectForm, tuple[int, int, int, int]]:
-    """Next envelope vertex strictly right of the ray pair = (p, q), p > 0,
-    and the reduced basis of its form.
+    """Next envelope vertex strictly right of the ray (1, 0) of a frame, and
+    the reduced basis of its form.
 
-    vec is a primitive vector (u, v) in basis coordinates whose support
-    line, the active line, carries the envelope immediately right of
-    s0 = q/p: at a vertex, the minimal vector whose line has the
-    smallest slope coefficient.  A trial slope is probed; while the active line is the
+    forms are the frame's two trace forms (G, H), whose lines the step
+    compares, and the ray (x, y) of the frame is the form x*G + y*H
+    (module docstring); _support_forms(d), those of 1 and sqrt(d), make
+    the standard frame, whose (1, 0) is the ray of 1.  vec, the result's
+    pair and its vectors are read in the frame's coordinates.
+
+    vec is a primitive vector (u, v) whose support line, the active
+    line, carries the envelope immediately right of (1, 0), slope 0: at
+    a vertex, the minimal vector whose line has the smallest slope
+    coefficient.  A trial slope is probed; while the active line is the
     unique minimum the trial pushes right (two thirds of the way to a
     rational ceiling just under 1/sqrt(d), tightened each round so any
     vertex is passed eventually), and once the active line stops being
@@ -170,47 +169,26 @@ def neighbor_step(
     are evaluated only for the pullback's crossings.  The vertex is built
     from that trial's integer data alone.
 
-    The opening ceiling has denominator D = 4*p*4^j, with the least j
-    that is sure to pass s0: for N = p^2 - d*q^2 > 0 the gap
-    1/sqrt(d) - s0 = N/(p*sqrt(d)*(p + q*sqrt(d))) exceeds
-    N/(2*p^2*(isqrt(d) + 1)), and a ceiling with denominator D lies
-    within 1/D of 1/sqrt(d).  D is a multiple of p, so the first
-    midpoint has a denominator dividing 2*D, not one near p*D, and each
-    push, to a ceiling with 4 times the denominator, raises that bound
-    at most 12-fold: a trial's label stays near the size of the vertex
-    it seeks.  The first trial's reduction starts from `start`, any
-    unimodular basis: the walk passes the reduced basis of the form of
-    pair itself, which the search that found pair returned.  Each
-    later trial starts from the reduced basis of the trial before it,
-    so a step costs the same few Gauss steps wherever it lies in the
-    period.
-
-    forms are the two trace forms whose lines the step compares, by
-    default _support_forms(d), those of 1 and sqrt(d).  The walk hands
-    in an anchor class's forms, over whose frame (module docstring)
-    pair, vec, start and the result are then read.
+    The opening ceiling has denominator D = 4*4^j, with the least j that
+    is sure to pass 0: 1/sqrt(d) exceeds 1/(2*(isqrt(d) + 1)), and a
+    ceiling with denominator D lies within 1/D of 1/sqrt(d).  The first
+    midpoint has a denominator dividing 2*D, and each push, to a ceiling
+    with 4 times the denominator, raises that bound at most 12-fold: a
+    trial's label stays near the size of the vertex it seeks.  The first
+    trial's reduction starts from the identity, which in the walk's
+    frames is the reduced basis of G, and each later one from the
+    reduced basis of the trial before it, so a step costs the same few
+    Gauss steps wherever it lies in the period.
     """
     d = field.d
-    p, q = pair
-    norm = p * p - d * q * q
-    if p <= 0 or norm <= 0:
-        raise QuadFieldError(f"{pair} is not the ray of a totally positive form")
     if gcd(*vec) != 1:
         raise QuadFieldError(f"{vec} is not a primitive vector")
-    s0 = Fraction(q, p)
-    basis = start
-    if forms is None:
-        forms = _support_forms(d)
     a_ic, a_sc = _line_of_basis_vec(forms, *vec)
-    base = 4 * p
-    # base * r is the least multiple of base above the bound; 4^j >= r
-    r = 2 * p * p * (isqrt(d) + 1) // norm // base + 1
-    denom = base << 2 * (((r - 1).bit_length() + 1) // 2)
-    upper = _below_boundary(d, denom)
-    while upper <= s0:
-        denom *= 4
-        upper = _below_boundary(d, denom)
-    s_t = (s0 + upper) / 2
+    # 4*r is the least multiple of 4 above 2*(isqrt(d) + 1); 4^j >= r
+    r = (isqrt(d) + 1) // 2 + 1
+    denom = 4 << 2 * (((r - 1).bit_length() + 1) // 2)
+    s_t = _below_boundary(d, denom) / 2
+    basis = (1, 0, 0, 1)
     A0, B0, C0, A1, B1, C1 = forms
     for _ in range(_TRIAL_CAP):
         p_t, q_t = s_t.denominator, s_t.numerator
@@ -222,8 +200,7 @@ def neighbor_step(
             if len(vecs) >= 2:
                 return PerfectForm((p_t, q_t), mu, _both_signs(vecs)), basis
             denom *= 4
-            upper = _below_boundary(d, denom)
-            s_t = s_t + (upper - s_t) * Fraction(2, 3)
+            s_t = s_t + (_below_boundary(d, denom) - s_t) * Fraction(2, 3)
             continue
         best: Fraction | None = None
         for y in vecs:
@@ -233,12 +210,10 @@ def neighbor_step(
             cross = Fraction(a_ic - ic, sc - a_sc)
             if best is None or cross > best:
                 best = cross
-        if best is None or not s0 < best < s_t:
-            raise QuadFieldError(
-                f"vector {vec} does not carry the envelope right of {pair}"
-            )
+        if best is None or not 0 < best < s_t:
+            raise QuadFieldError(f"vector {vec} does not carry the envelope")
         s_t = best
-    raise InvariantError(f"no vertex within {_TRIAL_CAP} trials right of {pair}")
+    raise InvariantError(f"no vertex within {_TRIAL_CAP} trials")
 
 
 def _first_vertex(field: FieldDesc) -> tuple[PerfectForm, tuple[int, int, int, int]]:
@@ -344,51 +319,42 @@ class WalkResult:
         return None
 
 
-def _from_frame(
-    d: int, anchor: tuple[int, int], frame: tuple[int, int, int, int], cls: PerfectForm
-) -> tuple[PerfectForm, int]:
-    """The class of anchor*(x + y*sqrt(d)) for the ray cls.pair = (x, y) of the
-    anchor's frame, and h, the gcd that makes its label primitive.
+def _move_anchor(
+    d: int,
+    anchor: tuple[int, int],
+    forms: tuple[int, int, int, int, int, int],
+    frame: tuple[int, int, int, int],
+    cls: PerfectForm,
+    basis: tuple[int, int, int, int],
+) -> tuple[PerfectForm, int, tuple[int, int, int, int, int, int], tuple[int, int, int, int]]:
+    """The class anchor*(x + y*sqrt(d))/h found at the ray cls.pair = (x, y)
+    of the anchor's frame, in the standard basis, then h and its own
+    forms and frame.
 
     cls is the record that neighbor_step found over the anchor's forms,
-    written in frame, the anchor's reduced basis.  h divides
+    in the coordinates of frame, the anchor's reduced basis, and basis
+    is the reduced basis of cls's form there.  h divides
     N(x + y*sqrt(d)), so the gcd runs on remainders of that small norm.
+    The class's forms are those of x + y*sqrt(d) and d*y + x*sqrt(d)
+    over the anchor's forms, written over basis and divided by h; its
+    frame is the anchor's times basis.
     """
-    (x, y), (a_p, a_q) = cls.pair, anchor
+    (x, y), (a_p, a_q), (A0, B0, C0, A1, B1, C1) = cls.pair, anchor, forms
     n = x * x - d * y * y
     p, q = a_p * x + d * a_q * y, a_q * x + a_p * y
     h = gcd(n, p % n, q % n)
-    u00, u01, u10, u11 = frame
+    (u00, u01, u10, u11), (v00, v01, v10, v11) = frame, basis
     vecs = tuple(sorted((u00 * s + u01 * t, u10 * s + u11 * t) for s, t in cls.min_vectors))
-    return PerfectForm((p // h, q // h), cls.mu // h, vecs), h
-
-
-def _moved_anchor(
-    d: int,
-    forms: tuple[int, int, int, int, int, int],
-    frame: tuple[int, int, int, int],
-    ray: tuple[int, int],
-    basis: tuple[int, int, int, int],
-    h: int,
-) -> tuple[tuple[int, int, int, int, int, int], tuple[int, int, int, int]]:
-    """The forms and frame of the class anchor*(x + y*sqrt(d))/h, ray = (x, y),
-    whose reduced form in the anchor's frame is over basis.
-
-    Its forms are those of x + y*sqrt(d) and d*y + x*sqrt(d) over the
-    anchor's forms, written over basis and divided by h; its frame is
-    the anchor's times basis.
-    """
-    (x, y), (A0, B0, C0, A1, B1, C1) = ray, forms
     G = _in_basis((x * A0 + y * A1, x * B0 + y * B1, x * C0 + y * C1), basis)
     H = _in_basis((d * y * A0 + x * A1, d * y * B0 + x * B1, d * y * C0 + x * C1), basis)
-    (u00, u01, u10, u11), (v00, v01, v10, v11) = frame, basis
     frame = (
         u00 * v00 + u01 * v10,
         u00 * v01 + u01 * v11,
         u10 * v00 + u11 * v10,
         u10 * v01 + u11 * v11,
     )
-    return tuple(c // h for c in G + H), frame
+    found = PerfectForm((p // h, q // h), cls.mu // h, vecs)
+    return found, h, tuple(c // h for c in G + H), frame
 
 
 def walk_classes(field: FieldDesc) -> WalkResult:
@@ -397,58 +363,50 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     Starts at the first vertex right of the rational ray (1, 0), which
     _first_vertex reads off the first hull edge with no step, and ends
     at its mirror, the ray of eps^2*conj(first), which the module
-    docstring proves is the period's last class.  Each step hands
-    neighbor_step the vertex's ray and the minimal vector whose line has
-    the smallest slope coefficient; that line carries the concave
-    envelope just right of the vertex.  It also hands on, as the start
-    of the step's first reduction, the reduced basis of the vertex's
-    form, which the search that found the vertex returned.  The walk
-    stops when the first class or a step lands on the mirror; a mirror
-    left of the first class, or a step past it, is a bug.  Rays multiply
-    as integer pairs and compare by cross-multiplication, so the walk
-    does no field arithmetic per step.
-
-    The steps run in the frame of an anchor class, as the module
-    docstring sets out: the anchor starts at 1, in the standard basis,
-    and moves to the class a step leaves once that class's ray in the
-    frame passes _ANCHOR.  Until it first moves, the walk's rays,
-    vectors and forms are the standard ones.
+    docstring proves is the period's last class.  Each step runs in the
+    frame of the class it leaves, as the module docstring sets out:
+    _move_anchor writes the class the step before found in the standard
+    basis and gives it its own frame, and neighbor_step leaves the
+    frame's ray (1, 0) along the minimal vector whose line has the
+    smallest slope coefficient, which carries the concave envelope just
+    right of the class.  The first class takes its frame from the
+    standard one.  The walk stops when the first class or a step lands
+    on the mirror; a mirror left of the first class, a step past it or
+    a step that fails is a bug, and the error names the class the step
+    left.  Rays multiply as integer pairs and compare by
+    cross-multiplication, so the walk does no field arithmetic per step.
     """
     d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    first, basis = _first_vertex(field)
-    p, q = first.pair
+    cls, basis = _first_vertex(field)
+    p, q = cls.pair
     mirror = _ray_times(d, (p, -q), primitive_normalize(eps2))
     m_p, m_q = mirror
     if m_q * p < q * m_p:
         raise InvariantError(f"the mirror {mirror} lies left of the first class {(p, q)}")
-    forms = _support_forms(d)
-    anchor, frame, h = None, (1, 0, 0, 1), 1  # anchor is None while it is 1
-    ray, vecs = first.pair, first.min_vectors
-    classes = [first]
+    anchor, forms, frame = (1, 0), _support_forms(d), (1, 0, 0, 1)
+    classes = []
     for _ in range(_WALK_CAP):
-        last = classes[-1]
-        if last.pair == mirror:
-            return WalkResult(field, tuple(classes), unit, eps2)
-        if ray[0] > _ANCHOR:
-            # the class left, anchor*w/h, becomes the anchor, over its
-            # reduced basis; (m_p, m_q) is mirror*conj(anchor), the
-            # mirror's ray in the frame, so it takes conj(w)/h, exactly
-            x, y = ray
-            m_p, m_q = (m_p * x - d * m_q * y) // h, (m_q * x - m_p * y) // h
-            forms, frame = _moved_anchor(d, forms, frame, ray, basis, h)
-            anchor, ray, basis = last.pair, (1, 0), (1, 0, 0, 1)
-            vecs = _both_signs(_min_vectors_ints(forms[:3], basis)[1])
-        vec = min(vecs, key=lambda y: _line_of_basis_vec(forms, *y)[1])
-        nxt, basis = neighbor_step(field, ray, vec, basis, forms)
-        ray, vecs = nxt.pair, nxt.min_vectors
-        if anchor:
-            nxt, h = _from_frame(d, anchor, frame, nxt)
-        x, y = ray
+        # cls is found at the ray w = (x, y) of the anchor's frame, in which
+        # (m_p, m_q) is mirror*conj(anchor), the mirror's ray
+        x, y = cls.pair
+        found, h, forms, frame = _move_anchor(d, anchor, forms, frame, cls, basis)
         if y * m_p > m_q * x:
-            raise InvariantError(f"the step to {nxt.pair} passed the mirror {mirror}")
-        classes.append(nxt)
+            raise InvariantError(f"the step to {found.pair} passed the mirror {mirror}")
+        classes.append(found)
+        if found.pair == mirror:
+            return WalkResult(field, tuple(classes), unit, eps2)
+        # the class found, anchor*w/h, is the anchor now: the mirror's ray
+        # takes conj(w)/h, exactly
+        m_p, m_q = (m_p * x - d * m_q * y) // h, (m_q * x - m_p * y) // h
+        anchor = found.pair
+        vecs = _both_signs(_min_vectors_ints(forms[:3], (1, 0, 0, 1))[1])
+        vec = min(vecs, key=lambda z: _line_of_basis_vec(forms, *z)[1])
+        try:
+            cls, basis = neighbor_step(field, vec, forms)
+        except (QuadFieldError, InvariantError) as err:
+            raise InvariantError(f"{err} right of {anchor}") from err
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 
 

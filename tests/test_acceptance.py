@@ -17,6 +17,7 @@ from oracles import (
     period_states,
     power,
     real_sign,
+    step_from_pair,
     trace_form,
     unit_brute_oracle,
 )
@@ -38,7 +39,6 @@ from unaryperfect.traceform import _reduce_ints, _scaled_form, brute_force_min, 
 from unaryperfect.units import fundamental_unit
 from unaryperfect.voronoi import (
     classes_equal,
-    neighbor_step,
     walk_classes,
     _line_of_basis_vec,
     _support_forms,
@@ -332,8 +332,8 @@ def test_criterion_7_invariance_and_symmetry():
         # leave the last vertex along the minimal vector whose line has the least slope
         forms = _support_forms(d)
         rightward = min(last.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
-        again, _ = neighbor_step(walk.field, last.pair, rightward)
-        assert again.pair == primitive_normalize(_form(walk, first) * walk.eps2), d
+        again = step_from_pair(walk.field, last.pair, rightward)[0]
+        assert again == primitive_normalize(_form(walk, first) * walk.eps2), d
         for cls in walk.classes:
             flipped = _form(walk, cls).conj()
             assert any(
