@@ -15,22 +15,17 @@ P_j + P_{j+1} = b_j*Q_j.  It is seeded with Q_0 = (d - P_1^2)/Q_1.
 
 The fundamental unit of Z[xi] is q_{L-1}*xi + q_L - a0*q_{L-1}, where
 q_{-1} = 0, q_0 = 1, q_j = b_j*q_{j-1} + q_{j-2} are the convergent
-denominators of xi; its omega-coefficient is c = q_{L-1}.
-b_1, ..., b_{L-1} is a palindrome, and so is the state sequence, so
-`fundamental_unit` stops at its centre: at step j, with the next state
-taken,
+denominators of xi; its omega-coefficient is q_{L-1} and its norm is
+N = (-1)^L.  b_1, ..., b_{L-1} is a palindrome, and so is the state
+sequence, so `fundamental_unit` stops at its centre: at step j, with
+the next state taken,
 
-- P_{j+1} = P_j means L = 2j; then c = q_{j-1}*(q_j + q_{j-2}), N = +1;
-- Q_{j+1} = Q_j means L = 2j + 1; then c = q_j^2 + q_{j-1}^2, N = -1;
-- the first state again at j = 1 means L = 1, c = 1, N = -1.
+- P_{j+1} = P_j means L = 2j;
+- Q_{j+1} = Q_j means L = 2j + 1;
+- the first state again at j = 1 means L = 1.
 
-Both values of c are the continuant identity
-K(b_1..b_n) = K(b_1..b_j)*K(b_{j+1}..b_n) + K(b_1..b_{j-1})*K(b_{j+2}..b_n)
-split at the centre, with the reversed halves equal.  The unit's norm
-is N = (-1)^L.
-
-The rational part comes from the same centre (Perron, Die Lehre von
-den Kettenbruechen, 1913).  With p_k/q_k the convergents of xi and
+The unit comes whole from that centre (Perron, Die Lehre von den
+Kettenbruechen, 1913).  With p_k/q_k the convergents of xi and
 Q_0 = g, set A_k = P_{k+1}*q_k + Q_{k+1}*q_{k-1}.  Then
 
     A_k = g*p_k - t*q_k,  A_k^2 - d*q_k^2 = (-1)^(k+1)*g*Q_{k+1}:
@@ -42,19 +37,41 @@ product xi_1*...*xi_{k+1} = (-1)^k/(q_k*xi - p_k) of the complete
 quotients is (A_k + q_k*sqrt(d))/Q_{k+1}, and over the whole period it
 is the unit: g*eps = A_{L-1} + q_{L-1}*sqrt(d).  The palindrome gives
 xi_{L+1-i} = (P_i + sqrt(d))/Q_{i-1}, so the last j quotients
-multiply to the first j times Q_j/g, and
+multiply to the first j times Q_j/g, and g*eps = alpha*beta/Q_j for
+the two halves
 
-- L = 2j:     g*eps = (A_{j-1} + q_{j-1}*sqrt(d))^2/Q_j;
-- L = 2j + 1: g*eps = (A_{j-1} + q_{j-1}*sqrt(d))*(A_j + q_j*sqrt(d))/Q_j,
+- L = 2j:     alpha = beta = A_{j-1} + q_{j-1}*sqrt(d);
+- L = 2j + 1: alpha = A_{j-1} + q_{j-1}*sqrt(d), beta = A_j + q_j*sqrt(d),
   as Q_{j+1} = Q_j;
-- L = 1:      g*eps = P_1 + sqrt(d), as Q_1 = g.
+- L = 1:      the odd case at j = 0, alpha = A_{-1} = g and
+  beta = P_1 + sqrt(d), as Q_1 = Q_0 = g.
 
-The loop takes r = (A_{j-1}^2 + d*q_{j-1}^2)/Q_j, or
-(A_{j-1}*A_j + d*q_{j-1}*q_j)/Q_j, or P_1, from the state and the
-convergents it holds at the centre, so eps = (r + c*sqrt(d))/g comes
-whole from half the period, and its only square root is isqrt(d).  The
-norm equation r^2 = d*c^2 + g^2*N is the check: for the loop's c it
-has one positive solution r.
+So eps = (r + c*sqrt(d))/g comes whole from the state and the
+convergents the loop holds at the centre, and its only square root is
+isqrt(d).
+
+The check works on the halves, which have half the digits of the unit.
+Write alpha = A + q*sqrt(d), beta = B + p*sqrt(d), Q = Q_j and
+
+    alpha*beta = X + Y*sqrt(d),        X = A*B + d*q*p, Y = A*p + B*q,
+    alpha*beta' = X' + Y'*sqrt(d),     X' = A*B - d*q*p, Y' = B*q - A*p,
+
+where beta' is the conjugate.  The norm is multiplicative, so
+X^2 - d*Y^2 = X'^2 - d*Y'^2 = N(alpha)*N(beta).  `_centre_product`
+requires
+
+1. Q | Y, and takes c = Y/Q;
+2. X'^2 - d*Y'^2 = N*(g*Q)^2: for L = 2j, where Y' = 0, that is
+   |A_{j-1}^2 - d*q_{j-1}^2| = g*Q_j; for L = 2j + 1 the two half norms
+   multiply to -(g*Q_j)^2; for L = 1 it is P_1^2 - d = -g*Q_1;
+3. r = floor(X/Q) >= 1.
+
+Then X^2 = d*Y^2 + N*(g*Q)^2 = Q^2*(d*c^2 + g^2*N), so Q^2 divides
+X^2, Q divides X, and r = X/Q solves r^2 = d*c^2 + g^2*N: the
+returned pair satisfies the norm equation, with r >= 1.  So Q | X
+needs no test of its own, and no product of unit size is formed:
+the centre costs the four half-size products A*B, q*p, A*p and B*q
+(three when L is even), while X' and Y' are of the size of g*sqrt(d).
 
 The q_j grow to the size of the unit, thousands of digits at
 d = 10^8, while the b_j are small.  So the loop does not add a
@@ -67,6 +84,14 @@ so a step costs a few small multiplications, and the big integers
 are touched about once every 35 steps instead of at every step: q_j
 gains about 1.7 bits a step, as measured over the 400 squarefree d
 from 10^8.
+
+A step does the state and the block and nothing else; the loop's
+bound is counted at the folds, where it already works on big
+integers.  A fold multiplies q_{j-1} by more than 2^60, so _FOLD_CAP
+folds bound the unit: the loop raises SizeLimitError before q_{j-1}
+passes 2^(60*_FOLD_CAP).  They bound the steps too: every b_j >= 1, so
+the block's top-left entry grows at least as the Fibonacci numbers and
+passes 2^60 within 88 steps of a fold.
 """
 
 from __future__ import annotations
@@ -78,8 +103,8 @@ from math import isqrt
 from .quadfield import FieldDesc, FieldElem, InvariantError, SizeLimitError
 from .quadfield import _cross_pair, _omega
 
-_STEP_CAP = 10**6
 _FOLD = 1 << 60  # the block folds into the big pair past this (module docstring)
+_FOLD_CAP = 30_000  # folds; q_{j-1} past 2^(60*30000) is a size limit (module docstring)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +115,27 @@ class FundamentalUnit:
     norm_sign: int
 
 
+def _centre_product(
+    d: int, g: int, Q: int, n: int, A: int, q: int, B: int, p: int
+) -> tuple[int, int]:
+    """(r, c) with r + c*sqrt(d) = (A + q*sqrt(d))*(B + p*sqrt(d))/Q, checked.
+
+    The centre product of the module docstring, g*eps = r + c*sqrt(d)
+    with n = (-1)^L; when L is even the halves are one pair, B = A and
+    p = q.  Raises InvariantError unless Q divides A*p + B*q, the
+    halves' norms multiply to n*(g*Q)^2 and r >= 1, which together give
+    r^2 = d*c^2 + g^2*n (module docstring).
+    """
+    AB, dqp, Ap = A * B, d * (q * p), A * p
+    Bq = Ap if n > 0 else B * q
+    c, rest = divmod(Ap + Bq, Q)
+    r = (AB + dqp) // Q
+    if rest or (AB - dqp) ** 2 - d * (Bq - Ap) ** 2 != n * (g * Q) ** 2 or r < 1:
+        # the halves may have thousands of digits, too many for str(); leave them out
+        raise InvariantError(f"centre of the period of d={d} gives no unit")
+    return r, c
+
+
 def _centre_unit(d: int, P: int, Q: int) -> tuple[int, int, int]:
     """(r, c, (-1)^L) with Q_0*eps = r + c*sqrt(d), from half the period
     of the reduced surd (P + sqrt(d))/Q, where Q_0 = (d - P^2)/Q.
@@ -97,36 +143,44 @@ def _centre_unit(d: int, P: int, Q: int) -> tuple[int, int, int]:
     The package's one period loop.  (q1, q2) is (q_{j-1}, q_{j-2}) at the
     last fold, and the block ((x0, y0), (x1, y1)) the quotient matrices
     since then, so that q_{j-1} = x0*q1 + y0*q2 and q_{j-2} = x1*q1 + y1*q2.
-    At the centre, A = A_{j-1} and the centre products of the module
-    docstring give r; c is the continuant split at the centre.  The
-    palindrome puts the centre before the first state comes back, so
-    the loop does not test for the period closing; _STEP_CAP bounds it.
+    A step touches only the state and the block; a fold, the loop's one
+    piece of work on big integers, also counts down the _FOLD_CAP that
+    bounds the loop.
+    The palindrome puts the centre before the first state comes back, so
+    the loop does not test for the period closing.  At the centre,
+    A = A_{j-1} and _centre_product multiplies the halves.
     """
     s = isqrt(d)
-    Q_prev = (d - P * P) // Q
+    g = Q_prev = (d - P * P) // Q
+    fold, folds = _FOLD, _FOLD_CAP
     q1, q2 = 1, 0
     x0, y0, x1, y1 = 1, 0, 0, 1
-    for _ in range(_STEP_CAP):
+    while True:
         a = (P + s) // Q
         P_next = a * Q - P
         Q_next = Q_prev + a * (P - P_next)
         if P_next == P or Q_next == Q:
-            q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
-            A = P * q1 + Q * q2
-            if P_next != P:  # L = 2j + 1, and Q_{j+1} = Q_j
-                q = a * q1 + q2
-                return (A * (P_next * q + Q * q1) + d * q1 * q) // Q, q * q + q1 * q1, -1
-            if Q_next == Q:  # the first state again: L = 1
-                return P, 1, -1
-            # L = 2j; q_j + q_{j-2} = a*q_{j-1} + 2*q_{j-2}
-            return (A * A + d * q1 * q1) // Q, q1 * (a * q1 + 2 * q2), 1
+            break
         x0, x1 = a * x0 + x1, x0
         y0, y1 = a * y0 + y1, y0
-        if x0 > _FOLD:
+        if x0 > fold:
+            if not folds:
+                raise SizeLimitError(f"no centre of the period of d={d} within {_FOLD_CAP} folds")
+            folds -= 1
             q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
             x0, y0, x1, y1 = 1, 0, 0, 1
         Q_prev, P, Q = Q, P_next, Q_next
-    raise SizeLimitError(f"no period within {_STEP_CAP} steps for d={d}")
+    q1, q2 = x0 * q1 + y0 * q2, x1 * q1 + y1 * q2
+    A = P * q1 + Q * q2
+    if P_next != P:  # L = 2j + 1, and Q_{j+1} = Q_j
+        q = a * q1 + q2
+        n, B, p = -1, P_next * q + Q * q1, q
+    elif Q_next == Q:  # the first state again: L = 1, and Q_1 = Q_0 = g
+        n, A, q1, B, p = -1, g, 0, P, 1
+    else:  # L = 2j
+        n, B, p = 1, A, q1
+    r, c = _centre_product(d, g, Q, n, A, q1, B, p)
+    return r, c, n
 
 
 def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
@@ -134,8 +188,8 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
 
     Computed afresh on every call from half a period of the expansion
     of omega, in memory that grows only with the size of the unit: the
-    loop gives eps = (r + c*sqrt(d))/g whole, and the norm equation
-    r^2 = d*c^2 + g^2*N only checks it.
+    loop gives eps = (r + c*sqrt(d))/g whole, and checks it on the
+    half-size numbers of the centre (module docstring).
     """
     d = field.d
     # omega = (t + sqrt(d))/g, so xi_1 = (P + sqrt(d))/((d - P^2)/g)
@@ -143,9 +197,6 @@ def fundamental_unit(field: FieldDesc) -> FundamentalUnit:
     a0 = (t + isqrt(d)) // g
     P = g * a0 - t
     r, c, n = _centre_unit(d, P, (d - P * P) // g)
-    if r < 1 or r * r != d * c * c + g * g * n:
-        # c may have thousands of digits, too many for str(); leave it out
-        raise InvariantError(f"centre of the period of d={d} solves no norm equation")
     return FundamentalUnit(FieldElem(field, Fraction(r, g), Fraction(c, g)), n)
 
 

@@ -241,8 +241,10 @@ def test_analyze_internal_failure_is_exit_3(monkeypatch, capsys, exc):
 
 
 def test_step_cap_overrun_is_exit_2(monkeypatch, capsys):
-    # the centre of the period of sqrt(94) is 8 steps in
-    monkeypatch.setattr(units, "_STEP_CAP", 2)
+    # the centre of the period of sqrt(94) is 8 steps in, so with every
+    # step folding the unit loop folds 7 times before it
+    monkeypatch.setattr(units, "_FOLD", 0)
+    monkeypatch.setattr(units, "_FOLD_CAP", 2)
     assert main(["analyze", "94"]) == 2
     assert "size limit:" in capsys.readouterr().err
 
@@ -266,7 +268,11 @@ def test_walk_cap_overrun_is_exit_2(monkeypatch, capsys):
 
 
 def test_failed_norm_square_is_exit_3(monkeypatch, capsys):
-    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (3, 1, 1))
+    # the centre of d = 7 checked as if L were odd: its norm is +1, not -1
+    real = units._centre_product
+    monkeypatch.setattr(
+        units, "_centre_product", lambda d, g, Q, n, *halves: real(d, g, Q, -n, *halves)
+    )
     assert main(["analyze", "7"]) == 3
     assert "internal error: InvariantError:" in capsys.readouterr().err
 

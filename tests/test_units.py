@@ -275,7 +275,7 @@ def test_block_fold_on_quotients_past_the_threshold(d):
     assert r == isqrt(r2) and r * r == r2
 
 
-def _centre_product(d, A, q, Q, length):
+def _half_period_product(d, A, q, Q, length):
     """(r, c) with r + c*sqrt(d) the centre product of the module docstring.
 
     A[k + 1], q[k + 1] and Q[k] hold A_k, q_k and Q_k; each coordinate
@@ -317,7 +317,7 @@ def test_half_period_products_give_the_unit():
             for k in range(length + 1):
                 assert A[k + 1] == g * p[k + 1] - t * q[k + 1]
                 assert A[k + 1] ** 2 - d * q[k + 1] ** 2 == (-1) ** (k + 1) * g * Q[k + 1]
-            r, c = _centre_product(d, A, q, Q, length)
+            r, c = _half_period_product(d, A, q, Q, length)
             assert (r, c) == (g * (q[length + 1] - a0 * q[length]) + t * q[length], q[length])
             if g == 2 or d % 4 != 1:  # omega's surd: the unit of the ring of integers
                 field = FieldDesc(d)
@@ -348,24 +348,70 @@ def test_centre_rule_cases(d, length):
 
 
 def test_step_cap_is_a_size_limit(monkeypatch):
-    # d = 94 reaches the centre of its period at step 8
-    monkeypatch.setattr(units, "_STEP_CAP", 8)
+    # with every step folding, d = 94 folds 7 times before the centre of
+    # its period at step 8
+    monkeypatch.setattr(units, "_FOLD", 0)
+    monkeypatch.setattr(units, "_FOLD_CAP", 7)
     assert fundamental_unit(FieldDesc(94)).value == FieldDesc(94).element(2143295, 221064)
-    monkeypatch.setattr(units, "_STEP_CAP", 7)
-    with pytest.raises(SizeLimitError):
+    monkeypatch.setattr(units, "_FOLD_CAP", 6)
+    with pytest.raises(SizeLimitError, match="within 6 folds"):
         fundamental_unit(FieldDesc(94))
 
 
+# (d, g, Q, n, A, q, B, p) as _centre_unit hands them to _centre_product,
+# with the (r, c) it returns: L = 4 at d = 7, L = 5 at d = 41 (g = 2),
+# and L = 1 at d = 2, whose halves are (g, 0) and (P_1, 1)
+CENTRES = [
+    ((7, 1, 2, 1, 3, 1, 3, 1), (8, 3)),
+    ((41, 2, 4, -1, 7, 1, 19, 3), (64, 10)),
+    ((2, 1, 1, -1, 1, 0, 1, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("centre,unit", CENTRES, ids=["d=7", "d=41", "d=2"])
+def test_centre_product(centre, unit):
+    assert units._centre_product(*centre) == unit
+
+
+@pytest.mark.parametrize(
+    "centre",
+    [
+        # Q = 3 divides the sqrt(d) part 2*3*1 but not the rational part
+        # 3^2 + 7*1^2, whose remainder the half norm 2 != 1*3 betrays
+        (7, 1, 3, 1, 3, 1, 3, 1),
+        # the second half conjugated, 19 - 3*sqrt(41): the norms still
+        # multiply to -(2*4)^2, but 4 does not divide 7*(-3) + 19*1
+        (41, 2, 4, -1, 7, 1, 19, -3),
+        # a wrong half norm: 3^2 - 7*1^2 = 2, not g*Q = 2*2
+        (7, 2, 2, 1, 3, 1, 3, 1),
+        # r < 1: -1 + sqrt(2) has norm -1 but is no unit > 1
+        (2, 1, 1, -1, 1, 0, -1, 1),
+    ],
+    ids=["remainder-of-r", "remainder-of-c", "half-norm", "r-below-1"],
+)
+def test_bad_centre_is_an_invariant_error(centre):
+    with pytest.raises(InvariantError, match="gives no unit"):
+        units._centre_product(*centre)
+
+
 def test_failed_norm_square_is_an_invariant_error(monkeypatch):
-    # 3^2 != 7*1^2 + 2^2*1: a centre whose r fails the norm equation
-    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (3, 1, 1))
+    # the centre of d = 7 checked as if L were odd: 8 + 3*sqrt(7) has
+    # norm +1, so the halves' norms cannot multiply to -(g*Q)^2
+    real = units._centre_product
+    monkeypatch.setattr(
+        units, "_centre_product", lambda d, g, Q, n, *halves: real(d, g, Q, -n, *halves)
+    )
     with pytest.raises(InvariantError):
         fundamental_unit(FieldDesc(7))
 
 
 def test_negative_rational_part_is_an_invariant_error(monkeypatch):
-    # -1 + sqrt(2) solves the norm equation of d = 2 but is no unit > 1
-    monkeypatch.setattr(units, "_centre_unit", lambda d, P, Q: (-1, 1, -1))
+    # d = 2 with its second half P_1 + sqrt(2) turned into -1 + sqrt(2):
+    # that solves the norm equation of d = 2 but is no unit > 1
+    real = units._centre_product
+    monkeypatch.setattr(
+        units, "_centre_product", lambda d, g, Q, n, A, q, B, p: real(d, g, Q, n, A, q, -B, p)
+    )
     with pytest.raises(InvariantError):
         fundamental_unit(FieldDesc(2))
 
