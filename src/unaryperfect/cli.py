@@ -3,8 +3,8 @@
 Exit codes: 0 success; 1 a checked prediction failed; 2 bad usage or
 input, checked where it enters, an --out that cannot be written
 (checked before the first field, and met again by the final write), or
-a size limit (a SizeLimitError from a step cap of the continued
-fraction or the walk, or the oracle's box, or a MemoryError); 3 any
+a size limit (a SizeLimitError from the unit loop's fold cap, the
+walk's class cap or the oracle's box, or a MemoryError); 3 any
 other exception, which after those checks is a bug, reported with its
 type and traceback; 141 stdout was closed by its reader (128 + SIGPIPE,
 as a shell reports a filter killed by that signal).

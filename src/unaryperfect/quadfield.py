@@ -34,7 +34,7 @@ class QuadFieldError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """A step cap was overrun: the input is too large, not wrong."""
+    """A size cap (unit folds, walk classes, oracle box) was overrun: too large, not wrong."""
 
 
 class InvariantError(RuntimeError):

@@ -75,10 +75,9 @@ the identity, the reduced basis of c's form in c's own frame, and each
 later one from the reduced basis of the trial before it.
 
 The first vertex is the first edge of a hull, found without a probe.
-Write p_k/q_k for the convergents of omega = (t + sqrt(d))/g, so that
-the relative minima right of 1 are y_k = p_{k-1} - q_{k-1}*omega,
-k >= 1, with |y_k| < 1 < |y_k'| and |y_k'| growing in k.  With
-x = g*p - t*q, (g*y_k)^2 = A_k + (D_k/d)*sqrt(d) for the point
+With p_k/q_k the convergents of omega = (t + sqrt(d))/g, the relative
+minima from 1 on are y_0 = 1 and y_k = p_{k-1} - q_{k-1}*omega, k >= 1.
+With x = g*p - t*q, (g*y_k)^2 = A_k + (D_k/d)*sqrt(d) for the point
 (A_k, D_k) = (x^2 + d*q^2, -2*d*x*q), and the form a + b*sqrt(d) takes
 2*(a*A + b*D)/g^2 at y: the minimal vectors at a ray are those whose
 points minimise a*A + b*D, an edge of the lower hull.  The point of 1
@@ -86,12 +85,31 @@ is P_0 = (g^2, 0), and the envelope leaves (1, 0) along its line up to
 the vertex where the line of the steepest point beyond P_0 crosses it:
 the least slope D/(A - g^2), ties going to the farther point.  The
 vertex's pair is the edge's normal (-D*, A* - g^2), made primitive.
-The scan stops at the first k with A_k > 2*g^2 and
-d*A_k^2*(A* - g^2)^2 <= D*^2*(A_k - 2*g^2)^2, that is
-sqrt(d)*A_k/(A_k - 2*g^2) <= |D*|/(A* - g^2).  No j >= k beats the
-best point then: |D_j| = sqrt(d)*(A_j - (g*y_j)^2) < sqrt(d)*A_j, and
-2*A_j > (g*y_j')^2 >= (g*y_k')^2 >= A_k, so
-|D_j|/(A_j - g^2) < sqrt(d)*A_j/(A_j - g^2) <= sqrt(d)*A_k/(A_k - 2*g^2).
+That point is y_1 = a_0 - omega or y_2 = b_1*y_1 + 1, whichever has the
+lesser slope, ties going to y_2: the hull vertex after any vertex y_k is
+y_{k+1} or y_{k+2}, and y_0 = 1 is a vertex.  Write u_j = |y_j| and
+v_j = y_j' > 0: u falls from u_0 = 1 and v rises from v_0 = 1, and for
+j >= 1, u_{j+1} = u_{j-1} - b_j*u_j and v_{j+1} = b_j*v_j + v_{j-1},
+with b_j >= 1 the quotients of omega after a_0.  The point is
+(A, D) = (g^2/2)*(u^2 + v^2, -sqrt(d)*(v^2 - u^2)), and a + b*sqrt(d)
+weighs u^2 and v^2 by (a +- b*sqrt(d))*g^2/2 > 0, so the lower hull is
+the lower-left hull of the points (u_j^2, v_j^2): after y_k comes the
+j > k that maximises rho_j = (u_k^2 - u_j^2)/(v_j^2 - v_k^2), ties
+going to the larger j.  As v_{k+3} >= v_{k+2} + v_{k+1} >= 2*v_{k+1} + v_k,
+every j >= k + 3 has rho_j < u_k^2/(v_{k+3}^2 - v_k^2)
+<= u_k^2/(4*v_{k+1}*(v_{k+1} + v_k)).  If u_{k+1} <= u_k/2, then
+rho_{k+1} >= (3/4)*u_k^2/(v_{k+1}^2 - v_k^2) beats that bound, since
+3*(v_{k+1}^2 + v_{k+1}*v_k) > v_{k+1}^2 - v_k^2.  Otherwise b_{k+1} = 1,
+as u_{k+2} = u_k - b_{k+1}*u_{k+1} > 0, so u_{k+2} = u_k - u_{k+1} < u_k/2
+and v_{k+2} = v_{k+1} + v_k, and
+rho_{k+2} > (3/4)*u_k^2/(v_{k+1}^2 + 2*v_{k+1}*v_k) beats it too, since
+3*(v_{k+1}^2 + v_{k+1}*v_k) > v_{k+1}^2 + 2*v_{k+1}*v_k.  So consecutive
+vertices lie at most two minima apart: no two consecutive minima are
+off the hull, and a minimum is a vertex exactly when its point lies
+strictly below the chord of its neighbours' points.  y_L, L the period
+of omega, is a unit and a vertex like y_0, so ceil(L/2) <= nK <= L.
+The argument holds on every prefix of the minima, so a monotone chain
+over their points pops at most one per push.
 """
 
 from __future__ import annotations
@@ -107,7 +125,6 @@ from .units import FundamentalUnit, fundamental_unit, unit_square
 
 _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
-_EDGE_CAP = 10**3
 
 
 def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
@@ -219,39 +236,21 @@ def neighbor_step(
 def _first_vertex(field: FieldDesc) -> tuple[PerfectForm, tuple[int, int, int, int]]:
     """The first envelope vertex right of (1, 0), and the reduced basis of its form.
 
-    Scans the convergents of omega for the steepest point beyond P_0 and
-    stops by the bound of the module docstring, which has stopped it at
-    the second or third convergent on every field tried, up to d = 10^30;
-    the scan still gives up after _EDGE_CAP of them, since over a
-    periodic expansion a wrong bound would never stop it.
-    One reduction of the pair's form from the identity gives the minimum
-    and the minimal vectors, which must hold 1 and the steepest point's
-    y, or the pair is not the vertex.
+    The edge from 1 ends at y_1 or y_2 (module docstring); one reduction of
+    the pair's form must find 1 and that end minimal, or it is not the vertex.
     """
     d = field.d
     g, t, _ = _omega(d)
     gg, r = g * g, isqrt(d)
-    P, Q = t, g  # omega's complete quotient (P + sqrt(d))/Q
-    (p0, p1), (q0, q1) = (0, 1), (1, 0)
-    best = None
-    for _ in range(_EDGE_CAP):
-        a = (P + r) // Q
-        P = a * Q - P
-        Q = (d - P * P) // Q
-        p0, p1 = p1, a * p1 + p0
-        q0, q1 = q1, a * q1 + q0
-        x = g * p1 - t * q1
-        A, D = x * x + d * q1 * q1, -2 * d * x * q1
-        # slopes D/(A - g^2) cross-multiplied, ties to the farther point
-        if best is None or D * (best[0] - gg) <= best[1] * (A - gg):
-            best = A, D, (p1, -q1)
-        bA, bD, y = best
-        if A > 2 * gg and d * A * A * (bA - gg) ** 2 <= bD * bD * (A - 2 * gg) ** 2:
-            break
-    else:
-        raise InvariantError(f"no first hull edge within {_EDGE_CAP} convergents")
-    h = gcd(bD, bA - gg)
-    pair = -bD // h, (bA - gg) // h
+    a0 = (t + r) // g
+    P = a0 * g - t  # the complete quotient after a0 is g*(P + sqrt(d))/(d - P^2)
+    b1 = (P + r) // ((d - P * P) // g)
+    x1, x2 = P, b1 * P + g  # x = g*p - t*q at y_1 = (a0, -1) and y_2 = (a0*b1 + 1, -b1)
+    A1, D1, A2, D2 = x1 * x1 + d, -2 * d * x1, x2 * x2 + d * b1 * b1, -2 * d * x2 * b1
+    second = D2 * (A1 - gg) <= D1 * (A2 - gg)  # slopes D/(A - g^2), ties to y_2
+    A, D, y = (A2, D2, (a0 * b1 + 1, -b1)) if second else (A1, D1, (a0, -1))
+    h = gcd(D, A - gg)
+    pair = -D // h, (A - gg) // h
     triple, basis = _reduce_ints(*_trace_form_ints(d, *pair))
     mu, vecs = _min_vectors_ints(triple, basis)
     vecs = _both_signs(vecs)
@@ -361,9 +360,9 @@ def walk_classes(field: FieldDesc) -> WalkResult:
     """One perfect form per class modulo scaling and squared units.
 
     Starts at the first vertex right of the rational ray (1, 0), which
-    _first_vertex reads off the first hull edge with no step, and ends
-    at its mirror, the ray of eps^2*conj(first), which the module
-    docstring proves is the period's last class.  Each step runs in the
+    _first_vertex reads off the first hull edge, at y_1 or y_2, with no
+    step, and ends at its mirror, the ray of eps^2*conj(first), which
+    the module docstring proves is the period's last class.  Each step runs in the
     frame of the class it leaves, as the module docstring sets out:
     _move_anchor writes the class the step before found in the standard
     basis and gives it its own frame, and neighbor_step leaves the

@@ -155,10 +155,8 @@ def unit_brute_oracle(field: FieldDesc, bound: int) -> FundamentalUnit:
     raise SearchExhaustedError(f"no unit for d={d} within bound {bound}")
 
 
-def hull_records(
-    d: int,
-) -> list[tuple[tuple[int, int], Fraction, tuple[tuple[int, int], ...]]]:
-    """(pair, mu, min_vectors) of each lower hull edge of the relative minima over one period.
+def minima_points(d: int) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    """g, the relative minima y_0 .. y_L over one period, and their points (A, D).
 
     The relative minima of the maximal order from 1 to the fundamental
     unit are y_0 = 1 and y_k = p_{k-1} - q_{k-1}*omega for k = 1 .. L,
@@ -166,12 +164,7 @@ def hull_records(
     period, written (u, v) for u + v*omega.  With x = g*u + t*v,
     (g*y)^2 = A + (D/d)*sqrt(d) for the point (A, D) = (x^2 + d*v^2,
     2*d*x*v), so the form p + q*sqrt(d) takes the value
-    2*(p*A + q*D)/g^2 at y.  A monotone chain keeps the lower hull,
-    popping collinear points, so an edge through three points is one
-    class.  An edge's pair is the primitive normal (p, q), p > 0, on
-    which both endpoints take the same value, mu is that value, and its
-    minimal vectors are every y whose point lies on the edge, with both
-    signs, sorted.
+    2*(p*A + q*D)/g^2 at y.
     """
     g, t = (2, 1) if d % 4 == 1 else (1, 0)
     a0 = (t + isqrt(d)) // g
@@ -190,16 +183,44 @@ def hull_records(
         x = g * u + t * v
         return x * x + d * v * v, 2 * d * x * v
 
-    points = [point(*y) for y in ys]
+    return g, ys, [point(*y) for y in ys]
+
+
+def lower_hull(points: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """The indices of the lower hull's vertices, and how many points each push popped.
+
+    A monotone chain over the points in their order, which popping
+    collinear points keeps to the vertices alone.
+    """
     hull: list[int] = []
+    pops = []
     for k, (A2, D2) in enumerate(points):
+        popped = 0
         while len(hull) >= 2:
             (A0, D0), (A1, D1) = points[hull[-2]], points[hull[-1]]
             if (A1 - A0) * (D2 - D0) - (D1 - D0) * (A2 - A0) > 0:
                 break
             hull.pop()
+            popped += 1
         hull.append(k)
+        pops.append(popped)
+    return hull, pops
 
+
+def hull_records(
+    d: int,
+) -> list[tuple[tuple[int, int], Fraction, tuple[tuple[int, int], ...]]]:
+    """(pair, mu, min_vectors) of each lower hull edge of the relative minima over one period.
+
+    The points are those of minima_points, and lower_hull keeps their
+    lower hull, so an edge through three points is one class.  An
+    edge's pair is the primitive normal (p, q), p > 0, on which both
+    endpoints take the same value, mu is that value, and its minimal
+    vectors are every y whose point lies on the edge, with both signs,
+    sorted.
+    """
+    g, ys, points = minima_points(d)
+    hull = lower_hull(points)[0]
     records = []
     for i, j in zip(hull, hull[1:]):
         (A0, D0), (A1, D1) = points[i], points[j]

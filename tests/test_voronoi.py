@@ -178,15 +178,32 @@ def test_first_vertex_matches_the_probe_step_at_large_d(lo):
         assert (cls.pair, cls.mu, cls.min_vectors) == (probe.pair, probe.mu, probe.min_vectors), d
 
 
-def test_edge_cap_overrun_is_an_invariant_error(monkeypatch):
-    # d = 14 ends its first edge at y_2, and the bound clears it at the
-    # third convergent: a scan cut short of that must fail, not return an
-    # edge the bound has not cleared
-    monkeypatch.setattr(voronoi, "_EDGE_CAP", 3)
-    assert walk_classes(FieldDesc(14)).classes[0].pair == (112, 29)
-    monkeypatch.setattr(voronoi, "_EDGE_CAP", 2)
-    with pytest.raises(InvariantError, match="no first hull edge within 2 convergents"):
-        walk_classes(FieldDesc(14))
+def test_hull_vertices_lie_at_most_two_minima_apart():
+    # the two-step lemma of the module docstring, on the lower hull of the
+    # relative minima y_0 .. y_L over one period, L from the period of
+    # omega: consecutive vertices are one or two minima apart, the monotone
+    # chain pops at most one point per push, and ceil(L/2) <= nK <= L.  The
+    # 24805 edges take 6786 gaps of two, one pop each, and 245 fields meet
+    # the lower bound, 394 the upper
+    ds = squarefree_sieve(2, 3000)
+    gaps, pops, low, high = Counter(), Counter(), 0, 0
+    for d in ds:
+        g, t, _ = _omega(d)
+        P = g * ((t + isqrt(d)) // g) - t
+        L = sum(1 for _ in oracles.period_states(d, P, (d - P * P) // g))
+        ys, points = oracles.minima_points(d)[1:]
+        hull, popped = oracles.lower_hull(points)
+        assert len(ys) == L + 1 and (hull[0], hull[-1]) == (0, L), d
+        gaps.update(j - i for i, j in zip(hull, hull[1:]))
+        pops.update(popped)
+        nK = len(hull) - 1
+        assert -(-L // 2) <= nK <= L, d
+        low += nK == -(-L // 2)
+        high += nK == L
+    assert len(ds) == 1823
+    assert gaps == Counter({1: 18019, 2: 6786})
+    assert pops == Counter({0: 26628, 1: 6786})
+    assert (low, high) == (245, 394)
 
 
 @pytest.mark.parametrize("lost", [(1, 0), (2, -1)])
