@@ -296,10 +296,13 @@ def _bad_input(message: str) -> int:
 def _unwritable(path: str) -> str | None:
     """Why --out cannot be written, found without creating or truncating it; None if it can.
 
-    A path that exists must be a writable file or device (/dev/stdout
-    is one, in a directory a user cannot write); a new file needs a
+    An empty path, as an unset shell variable gives, names no file.  A
+    path that exists must be a writable file or device (/dev/stdout is
+    one, in a directory a user cannot write); a new file needs a
     writable directory.
     """
+    if not path:
+        return "cannot write --out '': the path is empty"
     target = Path(path)
     if target.is_dir():
         return f"cannot write --out {path}: it is a directory"
@@ -331,7 +334,7 @@ def _tally(rows: Iterable[tuple], counts: Counter, bad: list[int]):
 def cmd_scan(args) -> int:
     if args.hi < args.lo:
         return _bad_input(f"need lo <= hi, got [{args.lo}, {args.hi}]")
-    if args.out and (problem := _unwritable(args.out)):
+    if args.out is not None and (problem := _unwritable(args.out)):
         return _bad_input(problem)
     ds = [d for d in squarefree_sieve(args.lo, args.hi) if d % 4 in args.mod4]
     # the pool forks all its workers up front, so never ask for more than can run
@@ -353,7 +356,7 @@ def cmd_scan(args) -> int:
             text = join(_tally(pool.map(row, ds, chunksize=chunk), counts, bad))
     else:
         text = join(_tally(map(row, ds), counts, bad))
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
     else:
         _write_stdout(text)

@@ -56,17 +56,20 @@ c is primitive.  So h is the gcd of N(w) and the parts' remainders
 modulo N(w).  The class then gives the next step its frame: U becomes
 U*V, V its reduced basis in c's frame, and (G, H) becomes its reduced
 form and d*y*G + x*H, the form of c*w*sqrt(d), written over V, both
-over h.  The first class takes its frame the same way from the
-standard one, that of c = 1, with U the identity and (G, H) the forms
-of 1 and sqrt(d).  A frame's forms are those of a class label over its
+over h.  The first class takes its frame from the one reduction that
+finds it (below): U is that reduced basis, and (G, H) are the forms of
+its label c and of c*sqrt(d) over U, so no step runs in the standard
+frame.  A frame's forms are those of a class label over its
 reduced basis, of a size set by the label's norm and d, which
 multiplication by eps^2 keeps, so a step's integers stay of a size set
 by the field, wherever it lies in the period: no reduction input
 passed 111 bits at d = 1394942, whose pairs reach 852.  The large
 integers take only products with small ones, to write a class in the
 standard basis, to move U and to check a step against the mirror: the
-walk keeps mirror*conj(c), the mirror's ray in c's frame, and moving
-to the class c*w/h multiplies it by conj(w)/h, exactly.
+walk keeps mirror*conj(c), the mirror's ray in c's frame, from
+mirror*conj(first) on, not made primitive, and moving to the class
+c*w/h multiplies it by conj(w)/h, exactly, as mirror*conj(c*w/h) is
+integral.
 
 Nor does a step's count of rounds grow along the period: its opening
 ceiling comes from a closed-form bound on the gap from 0 to
@@ -127,13 +130,8 @@ _TRIAL_CAP = 10**4
 _WALK_CAP = 10**5
 
 
-def _support_forms(d: int) -> tuple[int, int, int, int, int, int]:
-    """The trace forms of 1 and sqrt(d), in one tuple; p + q*sqrt(d) has p, q times them."""
-    return _trace_form_ints(d, 1, 0) + _trace_form_ints(d, 0, 1)
-
-
 def _line_of_basis_vec(forms: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
-    """The two forms at y = u + v*omega: (Tr(y^2), Tr(sqrt(d)*y^2)) for _support_forms."""
+    """A frame's forms (G, H) at the vector (u, v): the intercept and slope of its line."""
     A0, B0, C0, A1, B1, C1 = forms
     uu, uv, vv = u * u, u * v, v * v
     return A0 * uu + B0 * uv + C0 * vv, A1 * uu + B1 * uv + C1 * vv
@@ -160,31 +158,36 @@ def _below_boundary(d: int, denom: int) -> Fraction:
 
 
 def neighbor_step(
-    field: FieldDesc, vec: tuple[int, int], forms: tuple[int, int, int, int, int, int]
-) -> tuple[PerfectForm, tuple[int, int, int, int]]:
-    """Next envelope vertex strictly right of the ray (1, 0) of a frame, and
-    the reduced basis of its form.
+    d: int, forms: tuple[int, int, int, int, int, int]
+) -> tuple[tuple[int, int], int, tuple[tuple[int, int], ...], tuple[int, int, int, int]]:
+    """Next envelope vertex strictly right of the ray (1, 0) of a frame: its
+    ray (x, y), its minimum, its minimal vectors, one per +-pair, and the
+    reduced basis of its form, all in the frame's coordinates.
 
-    forms are the frame's two trace forms (G, H), whose lines the step
-    compares, and the ray (x, y) of the frame is the form x*G + y*H
-    (module docstring); _support_forms(d), those of 1 and sqrt(d), make
-    the standard frame, whose (1, 0) is the ray of 1.  vec, the result's
-    pair and its vectors are read in the frame's coordinates.
+    forms are the frame's two trace forms (G, H), G reduced, whose lines
+    the step compares, and the ray (x, y) of the frame is the form
+    x*G + y*H (module docstring).  The step leaves (1, 0), slope 0, along
+    its active line, the line that carries the envelope immediately right
+    of it: that of the minimal vector vec of G whose line has the
+    smallest slope coefficient H(vec).  G is reduced, so its minimal
+    vectors are read over the identity, one per +-pair; +-y share a line
+    and distinct pairs never do, so the least H picks one pair, in
+    either sign.
 
-    vec is a primitive vector (u, v) whose support line, the active
-    line, carries the envelope immediately right of (1, 0), slope 0: at
-    a vertex, the minimal vector whose line has the smallest slope
-    coefficient.  A trial slope is probed; while the active line is the
-    unique minimum the trial pushes right (two thirds of the way to a
-    rational ceiling just under 1/sqrt(d), tightened each round so any
-    vertex is passed eventually), and once the active line stops being
-    minimal the trial pulls back to its last crossing with a current
-    minimal line.  Each pullback lands on or right of the sought vertex,
-    so the trial meets it exactly, with the active line minimal alongside
-    at least one other.  Distinct +-pairs of vectors never share a line,
-    so that is when +-vec is among two or more minimal pairs, and lines
-    are evaluated only for the pullback's crossings.  The vertex is built
-    from that trial's integer data alone.
+    A trial slope is probed; while the active line is the unique minimum
+    the trial pushes right (two thirds of the way to a rational ceiling
+    just under 1/sqrt(d), tightened each round so any vertex is passed
+    eventually), and once the active line stops being minimal the trial
+    pulls back to its last crossing with a current minimal line.  No such
+    line is parallel to the active one: vec is minimal on G, so
+    G(y) >= G(vec), and a trial-minimal y with H(y) = H(vec) would make
+    vec minimal too.  So the pullback is the greatest crossing, and
+    one outside (0, s_t) is a bug.  Each pullback lands on or right of
+    the sought vertex, so the trial meets it exactly, with the active
+    line minimal alongside at least one other: +-vec is then among two
+    or more minimal pairs, and lines are evaluated only for the pick and
+    the pullback's crossings.  The vertex is read off that trial's
+    integer data alone.
 
     The opening ceiling has denominator D = 4*4^j, with the least j that
     is sure to pass 0: 1/sqrt(d) exceeds 1/(2*(isqrt(d) + 1)), and a
@@ -192,14 +195,12 @@ def neighbor_step(
     midpoint has a denominator dividing 2*D, and each push, to a ceiling
     with 4 times the denominator, raises that bound at most 12-fold: a
     trial's label stays near the size of the vertex it seeks.  The first
-    trial's reduction starts from the identity, which in the walk's
-    frames is the reduced basis of G, and each later one from the
-    reduced basis of the trial before it, so a step costs the same few
-    Gauss steps wherever it lies in the period.
+    trial's reduction starts from the identity, the reduced basis of G,
+    and each later one from the reduced basis of the trial before it, so
+    a step costs the same few Gauss steps wherever it lies in the period.
     """
-    d = field.d
-    if gcd(*vec) != 1:
-        raise QuadFieldError(f"{vec} is not a primitive vector")
+    minimal = _min_vectors_ints(forms[:3], (1, 0, 0, 1))[1]
+    vec = min(minimal, key=lambda y: _line_of_basis_vec(forms, *y)[1])
     a_ic, a_sc = _line_of_basis_vec(forms, *vec)
     # 4*r is the least multiple of 4 above 2*(isqrt(d) + 1); 4^j >= r
     r = (isqrt(d) + 1) // 2 + 1
@@ -215,29 +216,28 @@ def neighbor_step(
         mu, vecs = _min_vectors_ints(triple, basis)
         if vec in vecs or (-vec[0], -vec[1]) in vecs:
             if len(vecs) >= 2:
-                return PerfectForm((p_t, q_t), mu, _both_signs(vecs)), basis
+                return (p_t, q_t), mu, vecs, basis
             denom *= 4
             s_t = s_t + (_below_boundary(d, denom) - s_t) * Fraction(2, 3)
             continue
-        best: Fraction | None = None
-        for y in vecs:
-            ic, sc = _line_of_basis_vec(forms, *y)
-            if sc == a_sc:
-                continue
-            cross = Fraction(a_ic - ic, sc - a_sc)
-            if best is None or cross > best:
-                best = cross
-        if best is None or not 0 < best < s_t:
-            raise QuadFieldError(f"vector {vec} does not carry the envelope")
+        lines = (_line_of_basis_vec(forms, *y) for y in vecs)
+        best = max(Fraction(a_ic - ic, sc - a_sc) for ic, sc in lines)
+        if not 0 < best < s_t:
+            raise InvariantError(f"vector {vec} does not carry the envelope")
         s_t = best
     raise InvariantError(f"no vertex within {_TRIAL_CAP} trials")
 
 
-def _first_vertex(field: FieldDesc) -> tuple[PerfectForm, tuple[int, int, int, int]]:
-    """The first envelope vertex right of (1, 0), and the reduced basis of its form.
+def _first_vertex(
+    field: FieldDesc,
+) -> tuple[PerfectForm, tuple[int, int, int, int, int, int], tuple[int, int, int, int]]:
+    """The first envelope vertex right of (1, 0), and its frame: forms and basis.
 
     The edge from 1 ends at y_1 or y_2 (module docstring); one reduction of
-    the pair's form must find 1 and that end minimal, or it is not the vertex.
+    the pair's form must find 1 and that end minimal, or it is not the
+    vertex.  That reduction's basis U is the frame, and the forms are
+    those of the label c = p + q*sqrt(d) and of c*sqrt(d) = d*q + p*sqrt(d)
+    over U: the reduced form itself and one form written over U.
     """
     d = field.d
     g, t, _ = _omega(d)
@@ -250,13 +250,14 @@ def _first_vertex(field: FieldDesc) -> tuple[PerfectForm, tuple[int, int, int, i
     second = D2 * (A1 - gg) <= D1 * (A2 - gg)  # slopes D/(A - g^2), ties to y_2
     A, D, y = (A2, D2, (a0 * b1 + 1, -b1)) if second else (A1, D1, (a0, -1))
     h = gcd(D, A - gg)
-    pair = -D // h, (A - gg) // h
-    triple, basis = _reduce_ints(*_trace_form_ints(d, *pair))
+    pair = p, q = -D // h, (A - gg) // h
+    triple, basis = _reduce_ints(*_trace_form_ints(d, p, q))
     mu, vecs = _min_vectors_ints(triple, basis)
     vecs = _both_signs(vecs)
     if (1, 0) not in vecs or y not in vecs:
         raise InvariantError(f"{pair} is not the vertex of 1 and {y}")
-    return PerfectForm(pair, mu, vecs), basis
+    forms = triple + _in_basis(_trace_form_ints(d, d * q, p), basis)
+    return PerfectForm(pair, mu, vecs), forms, basis
 
 
 def _ray_times(d: int, ray: tuple[int, int], by: tuple[int, int]) -> tuple[int, int]:
@@ -323,27 +324,27 @@ def _move_anchor(
     anchor: tuple[int, int],
     forms: tuple[int, int, int, int, int, int],
     frame: tuple[int, int, int, int],
-    cls: PerfectForm,
-    basis: tuple[int, int, int, int],
+    found: tuple[tuple[int, int], int, tuple[tuple[int, int], ...], tuple[int, int, int, int]],
 ) -> tuple[PerfectForm, int, tuple[int, int, int, int, int, int], tuple[int, int, int, int]]:
-    """The class anchor*(x + y*sqrt(d))/h found at the ray cls.pair = (x, y)
-    of the anchor's frame, in the standard basis, then h and its own
-    forms and frame.
+    """The class anchor*(x + y*sqrt(d))/h that neighbor_step found at the
+    ray (x, y) of the anchor's frame, as a record in the standard basis,
+    then h and the class's own forms and frame.
 
-    cls is the record that neighbor_step found over the anchor's forms,
-    in the coordinates of frame, the anchor's reduced basis, and basis
-    is the reduced basis of cls's form there.  h divides
-    N(x + y*sqrt(d)), so the gcd runs on remainders of that small norm.
-    The class's forms are those of x + y*sqrt(d) and d*y + x*sqrt(d)
-    over the anchor's forms, written over basis and divided by h; its
-    frame is the anchor's times basis.
+    found is neighbor_step's result over the anchor's forms: the ray, the
+    minimum, the minimal vectors one per +-pair and the reduced basis of
+    the ray's form, in the coordinates of frame, the anchor's reduced
+    basis.  h divides N(x + y*sqrt(d)), so the gcd runs on remainders of
+    that small norm.  The vectors go through frame and take both signs,
+    sorted.  The class's forms are those of x + y*sqrt(d) and
+    d*y + x*sqrt(d) over the anchor's forms, written over the found
+    basis and divided by h; its frame is the anchor's times that basis.
     """
-    (x, y), (a_p, a_q), (A0, B0, C0, A1, B1, C1) = cls.pair, anchor, forms
+    ((x, y), mu, vecs, basis), (a_p, a_q), (A0, B0, C0, A1, B1, C1) = found, anchor, forms
     n = x * x - d * y * y
     p, q = a_p * x + d * a_q * y, a_q * x + a_p * y
     h = gcd(n, p % n, q % n)
     (u00, u01, u10, u11), (v00, v01, v10, v11) = frame, basis
-    vecs = tuple(sorted((u00 * s + u01 * t, u10 * s + u11 * t) for s, t in cls.min_vectors))
+    vecs = _both_signs((u00 * s + u01 * t, u10 * s + u11 * t) for s, t in vecs)
     G = _in_basis((x * A0 + y * A1, x * B0 + y * B1, x * C0 + y * C1), basis)
     H = _in_basis((d * y * A0 + x * A1, d * y * B0 + x * B1, d * y * C0 + x * C1), basis)
     frame = (
@@ -352,7 +353,7 @@ def _move_anchor(
         u10 * v00 + u11 * v10,
         u10 * v01 + u11 * v11,
     )
-    found = PerfectForm((p // h, q // h), cls.mu // h, vecs)
+    found = PerfectForm((p // h, q // h), mu // h, vecs)
     return found, h, tuple(c // h for c in G + H), frame
 
 
@@ -361,51 +362,46 @@ def walk_classes(field: FieldDesc) -> WalkResult:
 
     Starts at the first vertex right of the rational ray (1, 0), which
     _first_vertex reads off the first hull edge, at y_1 or y_2, with no
-    step, and ends at its mirror, the ray of eps^2*conj(first), which
-    the module docstring proves is the period's last class.  Each step runs in the
-    frame of the class it leaves, as the module docstring sets out:
-    _move_anchor writes the class the step before found in the standard
-    basis and gives it its own frame, and neighbor_step leaves the
-    frame's ray (1, 0) along the minimal vector whose line has the
-    smallest slope coefficient, which carries the concave envelope just
-    right of the class.  The first class takes its frame from the
-    standard one.  The walk stops when the first class or a step lands
-    on the mirror; a mirror left of the first class, a step past it or
-    a step that fails is a bug, and the error names the class the step
-    left.  Rays multiply as integer pairs and compare by
+    step, in the frame of that class, and ends at its mirror, the ray of
+    eps^2*conj(first), which the module docstring proves is the period's
+    last class.  Each step runs in the frame of the class it leaves, as
+    the module docstring sets out: neighbor_step leaves the frame's ray
+    (1, 0) along the line that carries the concave envelope just right
+    of the class, and _move_anchor writes the class it finds in the
+    standard basis and gives it its own frame.  The walk stops at the
+    class that is the mirror; a mirror left of the first class, a step
+    past it or a step that fails is a bug, and the error names the class
+    the step left.  Rays multiply as integer pairs and compare by
     cross-multiplication, so the walk does no field arithmetic per step.
     """
     d = field.d
     unit = fundamental_unit(field)
     eps2 = unit_square(unit)
-    cls, basis = _first_vertex(field)
+    cls, forms, frame = _first_vertex(field)
     p, q = cls.pair
     mirror = _ray_times(d, (p, -q), primitive_normalize(eps2))
-    m_p, m_q = mirror
-    if m_q * p < q * m_p:
+    # in the frame of the class last found, c, the mirror's ray is
+    # mirror*conj(c), not made primitive; conj(c) keeps the order of
+    # slopes and c*conj(c) has slope 0, so a negative q lies left of c
+    m_p, m_q = mirror[0] * p - d * mirror[1] * q, mirror[1] * p - mirror[0] * q
+    if m_q < 0:
         raise InvariantError(f"the mirror {mirror} lies left of the first class {(p, q)}")
-    anchor, forms, frame = (1, 0), _support_forms(d), (1, 0, 0, 1)
-    classes = []
+    classes = [cls]
     for _ in range(_WALK_CAP):
-        # cls is found at the ray w = (x, y) of the anchor's frame, in which
-        # (m_p, m_q) is mirror*conj(anchor), the mirror's ray
-        x, y = cls.pair
-        found, h, forms, frame = _move_anchor(d, anchor, forms, frame, cls, basis)
-        if y * m_p > m_q * x:
-            raise InvariantError(f"the step to {found.pair} passed the mirror {mirror}")
-        classes.append(found)
-        if found.pair == mirror:
+        if cls.pair == mirror:
             return WalkResult(field, tuple(classes), unit, eps2)
-        # the class found, anchor*w/h, is the anchor now: the mirror's ray
-        # takes conj(w)/h, exactly
-        m_p, m_q = (m_p * x - d * m_q * y) // h, (m_q * x - m_p * y) // h
-        anchor = found.pair
-        vecs = _both_signs(_min_vectors_ints(forms[:3], (1, 0, 0, 1))[1])
-        vec = min(vecs, key=lambda z: _line_of_basis_vec(forms, *z)[1])
         try:
-            cls, basis = neighbor_step(field, vec, forms)
-        except (QuadFieldError, InvariantError) as err:
-            raise InvariantError(f"{err} right of {anchor}") from err
+            step = neighbor_step(d, forms)
+        except InvariantError as err:
+            raise InvariantError(f"{err} right of {cls.pair}") from err
+        # the class found at the frame's ray w = (x, y) is c*w/h, and the
+        # mirror's ray in its frame takes conj(w)/h, exactly
+        x, y = step[0]
+        cls, h, forms, frame = _move_anchor(d, cls.pair, forms, frame, step)
+        if y * m_p > m_q * x:
+            raise InvariantError(f"the step to {cls.pair} passed the mirror {mirror}")
+        classes.append(cls)
+        m_p, m_q = (m_p * x - d * m_q * y) // h, (m_q * x - m_p * y) // h
     raise SizeLimitError(f"period did not close within {_WALK_CAP} vertices")
 
 

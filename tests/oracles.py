@@ -6,8 +6,10 @@ scaling and ray labels, the fundamental unit by exhaustive search
 instead of continued fractions, the continued fraction over its whole
 period in division form instead of half of it without the division,
 and the classes as the edges of a convex hull instead of a probe walk.
-step_from_pair is no oracle: it runs the library's step from a class
-given in the standard basis, through a frame it builds itself.
+step_from_pair is no oracle: it runs the library's step and write-back
+from a class given in the standard basis, through a frame it builds
+itself, and support_forms gives the standard frame, which only the
+tests use.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from unaryperfect.quadfield import (
 )
 from unaryperfect.traceform import _in_basis, _min_coords, _reduce_ints, _trace_form_ints
 from unaryperfect.units import FundamentalUnit
-from unaryperfect.voronoi import WalkResult, neighbor_step
+from unaryperfect.voronoi import PerfectForm, WalkResult, _move_anchor, neighbor_step
 
 
 def trace_form(x: FieldElem) -> tuple[Fraction, Fraction, Fraction]:
@@ -248,28 +250,23 @@ def mirror_record(
     return (pair, *_min_coords(field.element(*pair)))
 
 
-def step_from_pair(
-    field: FieldDesc, pair: tuple[int, int], vec: tuple[int, int]
-) -> tuple[tuple[int, int], int, tuple[tuple[int, int], ...]]:
-    """(pair, mu, min_vectors) of neighbor_step's vertex right of the ray pair,
-    leaving it along vec, both in the standard basis.
+def support_forms(d: int) -> tuple[int, int, int, int, int, int]:
+    """The trace forms of 1 and sqrt(d), in one tuple: the forms of the standard frame."""
+    return _trace_form_ints(d, 1, 0) + _trace_form_ints(d, 0, 1)
+
+
+def step_from_pair(field: FieldDesc, pair: tuple[int, int]) -> PerfectForm:
+    """The record of neighbor_step's vertex right of the ray of the coprime label pair.
 
     neighbor_step leaves the ray (1, 0) of a frame.  The frame of
-    c = p + q*sqrt(d) is built here: U from one reduction of c's trace
-    form from the identity, and the forms of c and c*sqrt(d) written over
-    U.  vec goes into the frame by U's inverse, and the vertex found at
-    w = (x, y) comes back as the primitive label of c*w, its minimum over
-    the gcd h of that label's parts, and its vectors through U.
+    c = p + q*sqrt(d) is built here cold: U from one reduction of c's
+    trace form from the identity, and the forms of c and c*sqrt(d)
+    written over U.  _move_anchor writes the vertex found back in the
+    standard basis, as the walk does.  At pair (1, 0), U is the identity
+    and the forms are support_forms(d): the probe step of the standard
+    frame.
     """
     d, (p, q) = field.d, pair
     G, U = _reduce_ints(*_trace_form_ints(d, p, q))
-    H = _in_basis(_trace_form_ints(d, d * q, p), U)
-    u00, u01, u10, u11 = U
-    det = u00 * u11 - u01 * u10
-    u, v = vec
-    nxt, _ = neighbor_step(field, (det * (u11 * u - u01 * v), det * (u00 * v - u10 * u)), G + H)
-    x, y = nxt.pair
-    P, Q = p * x + d * q * y, q * x + p * y
-    h = gcd(P, Q)
-    vecs = tuple(sorted((u00 * s + u01 * t, u10 * s + u11 * t) for s, t in nxt.min_vectors))
-    return (P // h, Q // h), nxt.mu // h, vecs
+    forms = G + _in_basis(_trace_form_ints(d, d * q, p), U)
+    return _move_anchor(d, pair, forms, U, neighbor_step(d, forms))[0]

@@ -585,15 +585,23 @@ def test_scan_renders_each_record_as_it_arrives(monkeypatch, tmp_path, path, fmt
 
 
 @pytest.mark.parametrize("path", ["one process", "pool"])
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty"])
 def test_scan_checks_out_before_the_first_field(monkeypatch, tmp_path, capsys, path, where):
-    # an --out that cannot be written is bad input, found before any walk
+    # an --out that cannot be written is bad input, found before any walk;
+    # an empty one, as --out "$OUT" gives with OUT unset, names no file
+    # and must not fall back to stdout
     walked = []
     monkeypatch.setattr(cli, "build_record", walked.append)
-    out = tmp_path / "no" / "such" / "x.csv" if where == "missing directory" else tmp_path
-    assert main(["scan", "2", "2000", "--out", str(out)] + _route_scan(monkeypatch, path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err.splitlines()[0]
+    out = {
+        "missing directory": str(tmp_path / "no" / "such" / "x.csv"),
+        "directory": str(tmp_path),
+        "empty": "",
+    }[where]
+    assert main(["scan", "2", "2000", "--out", out] + _route_scan(monkeypatch, path)) == 2
+    captured = capsys.readouterr()
+    line = captured.err.splitlines()[0]
+    assert line.startswith("error: ") and f"--out {out or repr(out)}" in line
+    assert captured.out == ""
     assert walked == []
     assert sorted(tmp_path.iterdir()) == []
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import power, trace_form
 from unaryperfect import traceform
-from unaryperfect.quadfield import FieldDesc, QuadFieldError, SizeLimitError, is_squarefree
-from unaryperfect.quadfield import FieldElem, primitive_normalize
+from unaryperfect.quadfield import FieldDesc, InvariantError, QuadFieldError, SizeLimitError
+from unaryperfect.quadfield import FieldElem, is_squarefree, primitive_normalize
 from unaryperfect.units import fundamental_unit, unit_square
 from unaryperfect.traceform import (
     brute_force_min,
@@ -208,6 +208,16 @@ def test_reduced_A_is_the_minimum(form):
     assert reduced[0] <= best
     if all(abs(e) <= 6 for e in change):
         assert reduced[0] == best
+
+
+def test_reduce_cap_overrun_is_an_invariant_error(monkeypatch):
+    # every reduction ends, so running out of rounds is a bug.  (10, 19, 10)
+    # takes two: a translation and a swap to (1, 1, 10), then the check
+    # that finds it reduced
+    assert _reduce_ints(10, 19, 10) == ((1, 1, 10), (-1, -1, 1, 0))
+    monkeypatch.setattr(traceform, "_REDUCE_CAP", 1)
+    with pytest.raises(InvariantError, match=r"^no reduced form within 1 steps$"):
+        _reduce_ints(10, 19, 10)
 
 
 def test_min_data_frozen():

@@ -37,7 +37,6 @@ from unaryperfect.voronoi import (
     walk_classes,
     _below_boundary,
     _line_of_basis_vec,
-    _support_forms,
 )
 
 SQUAREFREE = [d for d in range(2, 120) if is_squarefree(d)]
@@ -53,7 +52,7 @@ def pm(*elems):
 
 
 def line_of(y):
-    return _line_of_basis_vec(_support_forms(y.field.d), *y.basis_coords())
+    return _line_of_basis_vec(oracles.support_forms(y.field.d), *y.basis_coords())
 
 
 def form(field, cls):
@@ -63,12 +62,6 @@ def form(field, cls):
 def slope_of(cls):
     p, q = cls.pair
     return Fraction(q, p)
-
-
-def rightward_vec(field, cls):
-    """The minimal vector whose line has the least slope, as the walk leaves a vertex."""
-    forms = _support_forms(field.d)
-    return min(cls.min_vectors, key=lambda y: _line_of_basis_vec(forms, *y)[1])
 
 
 def test_support_line_frozen():
@@ -154,7 +147,7 @@ def test_first_vertex_matches_the_probe_step_and_the_hull():
         field = FieldDesc(d)
         cls = voronoi._first_vertex(field)[0]
         record = (cls.pair, cls.mu, cls.min_vectors)
-        probe = neighbor_step(field, (1, 0), _support_forms(d))[0]
+        probe = oracles.step_from_pair(field, (1, 0))
         assert record == (probe.pair, probe.mu, probe.min_vectors), d
         assert record == oracles.hull_records(d)[0], d
         y1, y2 = _first_two_minima(d)
@@ -174,7 +167,7 @@ def test_first_vertex_matches_the_probe_step_at_large_d(lo):
     for d in random.Random(lo).sample(squarefree_sieve(lo, lo + 1000), 50):
         field = FieldDesc(d)
         cls = voronoi._first_vertex(field)[0]
-        probe = neighbor_step(field, (1, 0), _support_forms(d))[0]
+        probe = oracles.step_from_pair(field, (1, 0))
         assert (cls.pair, cls.mu, cls.min_vectors) == (probe.pair, probe.mu, probe.min_vectors), d
 
 
@@ -223,23 +216,29 @@ def test_first_vertex_that_misses_its_points_is_an_invariant_error(monkeypatch, 
 
 
 def test_neighbor_step_frozen():
-    F7 = FieldDesc(7)
     # leaving 14 + 5*sqrt(7) along 3 - sqrt(7), whose line is (32, -84)
-    assert oracles.step_from_pair(F7, (14, 5), (3, -1))[0] == (98, 37)
-    F3 = FieldDesc(3)
-    assert neighbor_step(F3, (1, 0), _support_forms(3))[0].pair == (2, 1)
+    assert oracles.step_from_pair(FieldDesc(7), (14, 5)).pair == (98, 37)
+    # the standard frame's ray of 2 + sqrt(3), left raw
+    assert neighbor_step(3, oracles.support_forms(3))[0] == (2, 1)
 
 
-def test_neighbor_step_rejects_inactive_line():
-    # 1 + sqrt(7) is not minimal at 14 + 5*sqrt(7)
-    with pytest.raises(QuadFieldError, match="does not carry the envelope"):
-        oracles.step_from_pair(FieldDesc(7), (14, 5), (1, 1))
+def test_neighbor_step_rejects_inactive_line(monkeypatch):
+    # 14 + 5*sqrt(7), the first class of d = 7, has the minimal pairs of 1,
+    # 2 - sqrt(7) and 3 - sqrt(7).  A pick that sees only the one whose
+    # line has the greatest slope coefficient leaves along a line that is
+    # minimal nowhere right of the class, and the pullback finds that out
+    forms = voronoi._first_vertex(FieldDesc(7))[1]
+    minima = voronoi._min_vectors_ints
 
+    def leftward_at_the_pick(reduced, basis):
+        mu, vecs = minima(reduced, basis)
+        if (reduced, basis) == (forms[:3], (1, 0, 0, 1)):
+            vecs = (max(vecs, key=lambda y: _line_of_basis_vec(forms, *y)[1]),)
+        return mu, vecs
 
-@pytest.mark.parametrize("vec", [(2, 0), (0, 0), (3, -3), (0, 2)])
-def test_neighbor_step_rejects_vectors_that_are_not_primitive(vec):
-    with pytest.raises(QuadFieldError, match="is not a primitive vector"):
-        oracles.step_from_pair(FieldDesc(7), (14, 5), vec)
+    monkeypatch.setattr(voronoi, "_min_vectors_ints", leftward_at_the_pick)
+    with pytest.raises(InvariantError, match=r"^vector \(1, 0\) does not carry the envelope$"):
+        neighbor_step(7, forms)
 
 
 def test_trial_cap_overrun_is_an_invariant_error(monkeypatch):
@@ -352,22 +351,29 @@ def test_an_anchor_moved_at_every_step_gives_the_same_records(monkeypatch):
 
 
 def test_every_step_leaves_the_reduced_frame_of_its_class(monkeypatch):
-    # each class found gets its own frame: its reduced basis U, unimodular,
+    # each class gets its own frame, the first from _first_vertex and each
+    # later one from _move_anchor: its reduced basis U, unimodular,
     # and the trace forms of its label c and of c*sqrt(d) written over U,
     # so the first form is reduced and (1, 0) is minimal on it.  The step
     # that leaves the class is handed exactly those forms
     frames, stepped = [], []
-    move, step = voronoi._move_anchor, voronoi.neighbor_step
+    first, move, step = voronoi._first_vertex, voronoi._move_anchor, voronoi.neighbor_step
+
+    def started(field):
+        cls, forms, frame = first(field)
+        frames.append((cls.pair, forms, frame))
+        return cls, forms, frame
 
     def moved(*args):
         found, h, forms, frame = move(*args)
         frames.append((found.pair, forms, frame))
         return found, h, forms, frame
 
-    def logged(field, vec, forms):
+    def logged(d, forms):
         stepped.append(forms)
-        return step(field, vec, forms)
+        return step(d, forms)
 
+    monkeypatch.setattr(voronoi, "_first_vertex", started)
     monkeypatch.setattr(voronoi, "_move_anchor", moved)
     monkeypatch.setattr(voronoi, "neighbor_step", logged)
     for d in [d for d in range(2, 1001) if is_squarefree(d)] + [1394942]:
@@ -445,7 +451,7 @@ def test_walk_period_closes(d):
     walk = walk_classes(field)
     last = walk.classes[-1]
     assert (last.pair, last.mu, last.min_vectors) == oracles.mirror_record(walk)
-    nxt = oracles.step_from_pair(field, last.pair, rightward_vec(field, last))[0]
+    nxt = oracles.step_from_pair(field, last.pair).pair
     assert nxt == primitive_normalize(form(field, walk.classes[0]) * walk.eps2)
 
 
@@ -494,7 +500,7 @@ def test_each_step_starts_from_the_basis_of_the_class_it_leaves(monkeypatch, d):
     assert reductions[0][:2] == (0, (1, 0, 0, 1))
     for (k, start, _), (j, _, before) in zip(reductions[1:], reductions):
         assert start == ((1, 0, 0, 1) if k != j else before), (d, k)
-    for _, _, forms in steps:
+    for _, forms in steps:
         assert reduce(*forms[:3], (1, 0, 0, 1))[1] == (1, 0, 0, 1), d
     assert len({k for k, _, _ in reductions}) == walk.class_count
 
